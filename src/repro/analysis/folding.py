@@ -15,7 +15,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import TraceError
+from repro.trace.columnar import KIND_PHASE, KIND_SAMPLE, ColumnarTrace
 from repro.trace.tracefile import TraceFile
 
 
@@ -63,7 +66,7 @@ class FoldedTimeline:
 
 
 def fold_trace(
-    trace: TraceFile,
+    trace: ColumnarTrace | TraceFile,
     n_bins: int = 100,
     t_start: float | None = None,
     t_end: float | None = None,
@@ -74,27 +77,35 @@ def fold_trace(
     Parameters
     ----------
     trace:
-        Trace containing :class:`~repro.trace.events.PhaseEvent` and
-        :class:`~repro.trace.events.SampleEvent` records.
+        Trace with phase and sample rows; a row-oriented
+        :class:`~repro.trace.tracefile.TraceFile` is columnarised first.
     n_bins:
         Number of equal-width time bins.
     mips_by_function:
         Instruction rate to annotate bins with, keyed by function name
         (from the execution model of the placement under study).
     """
-    phases = sorted(trace.phase_events, key=lambda e: e.time)
-    if not phases:
-        raise TraceError("folding needs at least one phase event")
-    samples = sorted(trace.sample_events, key=lambda e: e.time)
+    if isinstance(trace, TraceFile):
+        trace = ColumnarTrace.from_tracefile(trace)
 
-    lo = t_start if t_start is not None else phases[0].time
+    def rows_by_time(kind: int) -> np.ndarray:
+        rows = np.flatnonzero(trace.kinds == kind)
+        return rows[np.argsort(trace.times[rows], kind="stable")]
+
+    phases = rows_by_time(KIND_PHASE)
+    if not phases.size:
+        raise TraceError("folding needs at least one phase event")
+    samples = rows_by_time(KIND_SAMPLE)
+    phase_times = trace.times[phases].tolist()
+    phase_functions = [trace.functions[i] for i in trace.aux[phases].tolist()]
+    sample_times = trace.times[samples].tolist()
+    sample_addresses = trace.addresses[samples].tolist()
+
+    lo = t_start if t_start is not None else phase_times[0]
     hi = t_end if t_end is not None else trace.duration
     if hi <= lo:
         raise TraceError(f"empty folding window [{lo}, {hi}]")
     width = (hi - lo) / n_bins
-
-    phase_times = [p.time for p in phases]
-    sample_times = [s.time for s in samples]
     mips_by_function = mips_by_function or {}
 
     bins: list[FoldedBin] = []
@@ -103,16 +114,15 @@ def fold_trace(
         t1 = t0 + width
         # Active function: the phase entered most recently before t0.
         pidx = bisect.bisect_right(phase_times, t0 + width / 2) - 1
-        function = phases[max(pidx, 0)].function
+        function = phase_functions[max(pidx, 0)]
         s_lo = bisect.bisect_left(sample_times, t0)
         s_hi = bisect.bisect_left(sample_times, t1)
-        addresses = tuple(s.address for s in samples[s_lo:s_hi])
         bins.append(
             FoldedBin(
                 t0=t0,
                 t1=t1,
                 function=function,
-                addresses=addresses,
+                addresses=tuple(sample_addresses[s_lo:s_hi]),
                 mips=mips_by_function.get(function, 0.0),
             )
         )

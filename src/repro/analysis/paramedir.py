@@ -76,39 +76,20 @@ class Paramedir:
             profiles = self._filter_profiles(profiles)
         return profiles
 
-    def _narrow(
-        self, trace: "TraceFile | ColumnarTrace"
-    ) -> "TraceFile | ColumnarTrace":
+    def _narrow(self, trace: "TraceFile | ColumnarTrace") -> ColumnarTrace:
         """Copy of ``trace`` with out-of-scope samples removed."""
-        if isinstance(trace, ColumnarTrace):
-            config = self.config
-            admitted = np.ones(trace.n_events, dtype=bool)
-            if config.time_window is not None:
-                t0, t1 = config.time_window
-                admitted &= (trace.times >= t0) & (trace.times < t1)
-            if config.ranks is not None:
-                admitted &= np.isin(
-                    trace.event_ranks,
-                    np.asarray(config.ranks, dtype=np.int32),
-                )
-            return trace.select((trace.kinds != KIND_SAMPLE) | admitted)
-
-        from repro.trace.events import SampleEvent
-
-        narrowed = TraceFile(
-            application=trace.application,
-            ranks=trace.ranks,
-            sampling_period=trace.sampling_period,
-            statics=list(trace.statics),
-            metadata=dict(trace.metadata),
-        )
-        for event in trace.events:
-            if isinstance(event, SampleEvent) and not self.config.admits_sample(
-                event.time, event.rank
-            ):
-                continue
-            narrowed.append(event)
-        return narrowed
+        if isinstance(trace, TraceFile):
+            trace = ColumnarTrace.from_tracefile(trace)
+        config = self.config
+        admitted = np.ones(trace.n_events, dtype=bool)
+        if config.time_window is not None:
+            t0, t1 = config.time_window
+            admitted &= (trace.times >= t0) & (trace.times < t1)
+        if config.ranks is not None:
+            admitted &= np.isin(
+                trace.event_ranks, np.asarray(config.ranks, dtype=np.int32)
+            )
+        return trace.select((trace.kinds != KIND_SAMPLE) | admitted)
 
     def _filter_profiles(self, profiles: ProfileSet) -> ProfileSet:
         config = self.config

@@ -35,6 +35,7 @@ from enum import Enum
 from repro.analysis.attribution import _PRIORITY  # shared event ordering
 from repro.analysis.objects import ObjectKey
 from repro.runtime.heap import LiveRangeIndex
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import AllocEvent, FreeEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
 
@@ -107,12 +108,16 @@ def _classify_addresses(addresses: list[int]) -> tuple[PatternClass, float, floa
     return PatternClass.IRREGULAR, coherence, dispersion
 
 
-def classify_access_patterns(trace: TraceFile) -> dict[ObjectKey, PatternVerdict]:
+def classify_access_patterns(
+    trace: TraceFile | ColumnarTrace,
+) -> dict[ObjectKey, PatternVerdict]:
     """Classify every sampled object in ``trace``.
 
     Samples are attributed time-aware (the same replay the profiler
     uses), then each object's address sequence is scored.
     """
+    if isinstance(trace, ColumnarTrace):
+        trace = trace.to_tracefile()
     index: LiveRangeIndex[ObjectKey] = LiveRangeIndex()
     per_object: dict[ObjectKey, list[int]] = {}
 

@@ -148,6 +148,9 @@ class ProfileSet:
                     sampled_latency=result.latency_sum.get(key, 0),
                 )
             )
+        # Ties on (misses, size) keep key order, ascending, never the
+        # hash-seeded iteration order of ``keys``.
+        profiles.sort(key=lambda p: (p.key.kind.value, p.key.identity))
         profiles.sort(key=lambda p: (p.sampled_misses, p.size), reverse=True)
         return cls(
             profiles=profiles,

@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
-from repro.trace.tracefile import TraceFile
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.tracer import Tracer, TracerConfig
 from repro.units import CACHE_LINE, GIB, MIB
 
@@ -236,18 +236,18 @@ class GroundTruth:
 class ProfilingRun:
     """Output of the instrumented (step 1) run of one rank.
 
-    ``trace`` is either the row-oriented :class:`TraceFile` the tracer
-    emits or an already-columnarised
-    :class:`~repro.trace.columnar.ColumnarTrace` (the shared trace
-    plane publishes the latter); every downstream consumer of the
-    cell path accepts both. ``tracer``/``process`` are present only
-    when the run came from an in-process instrumented execution — a
-    run reconstructed from a shared plane has neither, since raw
+    ``trace`` is always a :class:`~repro.trace.columnar.ColumnarTrace`:
+    the tracer's merged columns for an in-process run, or the
+    zero-copy view a shared trace plane hands out. Every consumer
+    reads the columns as they are; :meth:`ColumnarTrace.to_tracefile`
+    is only the JSONL export codec. ``tracer``/``process`` are present
+    only when the run came from an in-process instrumented execution —
+    a run reconstructed from a shared plane has neither, since raw
     tracer/process state is process-local and never crosses the
     plane.
     """
 
-    trace: "TraceFile | ColumnarTrace"
+    trace: ColumnarTrace
     ground_truth: GroundTruth
     tracer: Tracer | None = None
     process: SimProcess | None = None
@@ -851,8 +851,12 @@ class SimApplication:
         truth.times = (
             np.concatenate(all_times) if all_times else np.zeros(0, float)
         )
+        # Release the per-window miss chunks before the trace columns
+        # are allocated, so the two never coexist at peak.
+        all_addresses.clear()
+        all_times.clear()
         return ProfilingRun(
-            trace=tracer.trace,
+            trace=tracer.columnar_trace(),
             ground_truth=truth,
             tracer=tracer,
             process=process,

@@ -692,11 +692,17 @@ def _private_rss_kib() -> int | None:
 
 
 def _sweep_rss_probe(queue, app, machine, cell, seed, plane) -> None:
-    """Forked probe: run one cell, report private RSS + any error."""
+    """Forked probe: run one cell, report private RSS + any error.
+
+    RSS is read while the cell's framework is still memoised, as in a
+    pool worker; once freed, its NumPy columns are unmapped and only
+    allocator residue would be left to measure.
+    """
     from repro.parallel.sweep import _execute_cell
 
+    memo: dict = {}
     payload = _execute_cell(
-        app, machine, cell, seed, {}, None, 1, plane=plane
+        app, machine, cell, seed, memo, None, 1, plane=plane
     )
     queue.put((_private_rss_kib(), payload[1]))
 
@@ -710,16 +716,16 @@ def _bench_sweep_rss(
     execute one grid cell and read ``/proc/self/smaps_rollup``; fork
     keeps the interpreter's baseline copy-on-write-shared, so the
     measured private bytes are dominated by what the cell itself
-    materialised — the whole row-mode trace privately, or a zero-copy
-    view of the plane. Skipped silently where smaps_rollup or the
-    fork start method is unavailable (non-Linux).
+    materialised — the whole profile (trace and ground truth)
+    privately, or a zero-copy view of the plane. Skipped silently
+    where smaps_rollup or the fork start method is unavailable
+    (non-Linux).
     """
     import multiprocessing
 
     from repro.pipeline.experiment import enumerate_cells
     from repro.pipeline.framework import HybridMemoryFramework
     from repro.trace.shared import SharedTracePlane
-    from repro.trace.tracer import TracerConfig
 
     if _private_rss_kib() is None:
         return
@@ -728,20 +734,11 @@ def _bench_sweep_rss(
     except ValueError:
         return
     cells = [c for c in enumerate_cells(app, grid) if c.kind == "grid"][:4]
-    framework = HybridMemoryFramework(
-        app,
-        machine,
-        tracer_config=TracerConfig(
-            sampling_period=app.sampling_period, columnar_samples=True
-        ),
-        seed=seed,
-    )
-    profiling = framework.profile()
-    columnar = profiling.tracer.columnar_trace()
+    profiling = HybridMemoryFramework(app, machine, seed=seed).profile()
     means: dict[str, float] = {}
     with SharedTracePlane() as plane:
         handle = plane.publish(
-            "bench-sweep-rss", columnar, profiling.ground_truth
+            "bench-sweep-rss", profiling.trace, profiling.ground_truth
         )
         for scenario, plane_handle in (("private", None), ("plane", handle)):
             queue = ctx.SimpleQueue()
@@ -802,13 +799,13 @@ def _bench_sweep_throughput(
 ) -> None:
     """Pool sweep at jobs=4, without vs with the shared trace plane.
 
-    The workload is profile-dominated (inflated miss stream, small
-    grid), so the baseline pays one row-mode profiling run per worker
-    while the plane path profiles once in the parent via the columnar
-    tracer and workers attach zero-copy. Rows must be identical across
-    the two paths — the stage aborts on divergence, like every other
-    bench oracle. Wall time of a 4-worker pool is too expensive to
-    repeat, so each path is timed once.
+    The workload is profile-heavy (inflated miss stream, small grid):
+    without the plane every worker profiles privately, with it the
+    parent profiles once and workers attach zero-copy. Rows must be
+    identical across the two paths — the stage aborts on divergence,
+    like every other bench oracle — and the plane run must publish
+    once and profile in no worker. Wall time of a 4-worker pool is too
+    expensive to repeat, so each path is timed once.
     """
     from repro.parallel.sweep import run_sweep
     from repro.pipeline.experiment import ExperimentGrid, enumerate_cells
@@ -847,14 +844,22 @@ def _bench_sweep_throughput(
             "shared-plane sweep rows diverged from the private-profile "
             "pool sweep"
         )
-    if not plane_metrics.counters.get("plane_publish"):
-        raise ReproError("shared-plane sweep never published a plane")
-    speedup = base_seconds / plane_seconds
-    if report.mode == "full" and speedup < 3.0:
+    # Both paths profile straight into columns, so the private pool is
+    # no slow baseline to beat by a fixed ratio; what the plane does
+    # guarantee is one parent-side publish per app and no worker
+    # profiling. Its throughput stays under the baseline gate.
+    publishes = plane_metrics.counters.get("plane_publish", 0)
+    if publishes != 1:
         raise ReproError(
-            f"shared plane sped the profile-bound sweep up only "
-            f"{speedup:.2f}x (target >= 3x)"
+            f"shared-plane sweep published {publishes} planes for 1 app"
         )
+    # The parent's publishing profile is merged into the roll-up.
+    worker_profiles = plane_metrics.count("profile") - publishes
+    if worker_profiles:
+        raise ReproError(
+            f"shared-plane sweep workers profiled {worker_profiles} times"
+        )
+    speedup = base_seconds / plane_seconds
     report.record(
         BenchRecord(
             stage="sweep_throughput",

@@ -95,29 +95,24 @@ def profile_main(argv: list[str] | None = None) -> int:
                         help="record per-sample access latency "
                         "(Xeon-style PMU)")
     parser.add_argument("--columnar", action="store_true",
-                        help="emit the binary columnar trace (.npz): "
-                        "samples stay NumPy columns end to end and the "
-                        "analysis stage skips JSONL parsing entirely")
+                        help="write the binary columnar trace (.npz) "
+                        "instead of JSON lines; the analysis stage then "
+                        "skips JSONL parsing entirely")
 
     def run(args) -> None:
         app = get_app(args.app)
         config = TracerConfig(
             sampling_period=args.period or app.sampling_period,
             record_latency=args.latency,
-            columnar_samples=args.columnar,
         )
-        profiling = app.run_profiling(seed=args.seed, tracer_config=config)
+        trace = app.run_profiling(seed=args.seed, tracer_config=config).trace
         if args.columnar:
-            trace = profiling.tracer.columnar_trace()
             trace.save(args.output)
-            n_allocs, n_samples = trace.n_allocs, trace.n_samples
         else:
-            profiling.trace.save(args.output)
-            n_allocs = len(profiling.trace.alloc_events)
-            n_samples = len(profiling.trace.sample_events)
+            trace.to_tracefile().save(args.output)
         print(
-            f"{args.app}: {n_allocs} allocations, "
-            f"{n_samples} samples -> {args.output}"
+            f"{args.app}: {trace.n_allocs} allocations, "
+            f"{trace.n_samples} samples -> {args.output}"
         )
 
     return _run(parser, run, argv)

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.runtime.callstack import RawCallStack
-from repro.trace.events import SampleEvent
+from repro.trace.columnar import EVENT_COLUMNS, KIND_SAMPLE, ColumnarTrace
 
 #: Cell fates the scheduler distinguishes.
 FATE_OK = "ok"
@@ -64,48 +64,46 @@ class FaultInjector:
 
     # -- stage 1: PEBS sample loss / corruption ------------------------
 
-    def degrade_trace(self, trace) -> tuple[int, int]:
-        """Drop/corrupt sample events of an in-memory trace.
+    def degrade_trace(self, trace: ColumnarTrace) -> tuple[int, int]:
+        """Drop/corrupt sample rows of an in-memory trace, in place.
 
         Returns ``(dropped, corrupted)``. Deterministic in the plan
-        seed and the trace's application name + sample index, so the
-        same profile degrades identically wherever it is re-derived.
+        seed and the trace's application name + sample index (the
+        sample's position in recording order), so the same profile
+        degrades identically wherever it is re-derived.
         """
         plan = self.plan
         if not plan.degrades_profile:
             return 0, 0
         scope = zlib.crc32(trace.application.encode())
-        kept = []
-        dropped = corrupted = 0
-        sample_index = 0
-        for event in trace.events:
-            if not isinstance(event, SampleEvent):
-                kept.append(event)
-                continue
-            u = _unit(plan.seed, "sample", scope, sample_index)
-            sample_index += 1
-            if u < plan.sample_drop_rate:
-                dropped += 1
-                continue
-            if u < plan.sample_drop_rate + plan.sample_corrupt_rate:
-                # Perturb the address out of every mapped region; the
-                # attribution stage must file it as unresolved.
-                garbage = int(
-                    _unit(plan.seed, "corrupt", scope, sample_index) * 2**46
-                )
-                kept.append(
-                    SampleEvent(
-                        time=event.time,
-                        rank=event.rank,
-                        address=(event.address ^ 0x5A5A_5A5A_5A5A) + garbage,
-                        latency_cycles=event.latency_cycles,
-                    )
-                )
-                corrupted += 1
-                continue
-            kept.append(event)
-        trace.events = kept
-        return dropped, corrupted
+        rows = np.flatnonzero(trace.kinds == KIND_SAMPLE)
+        draws = np.array(
+            [_unit(plan.seed, "sample", scope, i) for i in range(rows.size)]
+        )
+        drop = draws < plan.sample_drop_rate
+        corrupt = ~drop & (
+            draws < plan.sample_drop_rate + plan.sample_corrupt_rate
+        )
+        if corrupt.any():
+            # Perturb the address out of every mapped region; the
+            # attribution stage must file it as unresolved.
+            garbage = np.array(
+                [
+                    int(_unit(plan.seed, "corrupt", scope, i + 1) * 2**46)
+                    for i in np.flatnonzero(corrupt).tolist()
+                ],
+                dtype=np.int64,
+            )
+            hit = rows[corrupt]
+            addresses = trace.addresses.copy()
+            addresses[hit] = (addresses[hit] ^ 0x5A5A_5A5A_5A5A) + garbage
+            trace.addresses = addresses
+        if drop.any():
+            keep = np.ones(trace.n_events, dtype=bool)
+            keep[rows[drop]] = False
+            for name in EVENT_COLUMNS:
+                setattr(trace, name, getattr(trace, name)[keep])
+        return int(drop.sum()), int(corrupt.sum())
 
     # -- stage 4: ASLR drift -------------------------------------------
 

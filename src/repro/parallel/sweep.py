@@ -100,7 +100,6 @@ from repro.pipeline.experiment import (
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.pipeline.metrics import StageMetrics
 from repro.pipeline.results import ExperimentResult, ResultRow
-from repro.trace.columnar import ColumnarTrace
 from repro.parallel.watchdog import start_orphan_watchdog
 from repro.trace.shared import (
     BACKENDS,
@@ -109,7 +108,6 @@ from repro.trace.shared import (
     SharedTracePlane,
     attach_plane,
 )
-from repro.trace.tracer import TracerConfig
 
 #: Error text of cells the error budget prevented from running.
 SKIPPED_ERROR = "skipped: error budget exhausted"
@@ -727,48 +725,6 @@ class SweepExecutor:
             }
         )
 
-    def _plane_profile(
-        self, app: SimApplication
-    ) -> tuple[HybridMemoryFramework, ColumnarTrace]:
-        """Profile ``app`` once, parent-side, and columnarise.
-
-        Clean runs use the tracer's ``columnar_samples`` fast path —
-        samples go from the PMU model straight into NumPy columns, so
-        publishing costs a fraction of a worker's row-mode profile
-        (attribution equality across the two modes is pinned by the
-        tracer tests). A profile-degrading fault plan forces the
-        row-mode path, because degradation operates on the row trace;
-        the published trace then matches what every worker would have
-        materialised privately, bit for bit.
-        """
-        config = self.config
-        degrades = (
-            config.fault_plan is not None
-            and config.fault_plan.degrades_profile
-        )
-        tracer_config = (
-            None
-            if degrades
-            else TracerConfig(
-                sampling_period=app.sampling_period, columnar_samples=True
-            )
-        )
-        framework = HybridMemoryFramework(
-            app,
-            self.machine,
-            tracer_config=tracer_config,
-            seed=config.seed,
-            fault_plan=config.fault_plan,
-        )
-        profiling = framework.profile()
-        if not degrades and profiling.tracer is not None:
-            columnar = profiling.tracer.columnar_trace()
-        elif isinstance(profiling.trace, ColumnarTrace):
-            columnar = profiling.trace
-        else:
-            columnar = ColumnarTrace.from_tracefile(profiling.trace)
-        return framework, columnar
-
     def _publish_planes(
         self,
         plane: SharedTracePlane,
@@ -789,11 +745,20 @@ class SweepExecutor:
                 continue
             seen.add(app.name)
             try:
-                framework, columnar = self._plane_profile(app)
+                # The profile is columnar and, under a profile-degrading
+                # fault plan, already degraded: published as it is, it
+                # is what every worker would profile privately.
+                framework = HybridMemoryFramework(
+                    app,
+                    self.machine,
+                    seed=self.config.seed,
+                    fault_plan=self.config.fault_plan,
+                )
+                profiling = framework.profile()
                 handles[app.name] = plane.publish(
                     self._plane_key(app),
-                    columnar,
-                    framework.profile().ground_truth,
+                    profiling.trace,
+                    profiling.ground_truth,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise

@@ -29,7 +29,11 @@ from repro.analysis.profile import ProfileSet
 from repro.errors import AdvisorError, ConfigError
 from repro.machine.config import MachineConfig
 from repro.machine.performance import ExecutionModel, PlacedTraffic, RunCost
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.tracefile import TraceFile
+
+#: Either trace form; the predictor reduces it through Paramedir.
+Trace = TraceFile | ColumnarTrace
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +86,14 @@ class TraceReplayPredictor:
 
     # -- inputs ----------------------------------------------------------
 
-    def profiles_from_trace(self, trace: TraceFile) -> ProfileSet:
+    def profiles_from_trace(self, trace: Trace) -> ProfileSet:
         """Stage-2 reduction, for callers starting from a raw trace."""
         return Paramedir().analyze(trace)
+
+    def _profiles(self, profiles: ProfileSet | Trace) -> ProfileSet:
+        if isinstance(profiles, ProfileSet):
+            return profiles
+        return self.profiles_from_trace(profiles)
 
     # -- prediction -------------------------------------------------------
 
@@ -108,7 +117,7 @@ class TraceReplayPredictor:
 
     def predict(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | Trace,
         report: PlacementReport,
         latency_weighted: bool = False,
     ) -> PredictedOutcome:
@@ -124,8 +133,7 @@ class TraceReplayPredictor:
         *stall cycles* avoided, which is what distinguishes expensive
         gathers from cheap streams (the Section III refinement).
         """
-        if isinstance(profiles, TraceFile):
-            profiles = self.profiles_from_trace(profiles)
+        profiles = self._profiles(profiles)
         total_samples = profiles.total_samples
         if total_samples == 0:
             raise AdvisorError("cannot predict from an empty profile set")
@@ -192,7 +200,7 @@ class TraceReplayPredictor:
 
     def predict_tiered(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | Trace,
         report: PlacementReport,
     ) -> PredictedOutcome:
         """Predict a *multi-tier* placement (HBM/DDR/NVM and beyond).
@@ -202,8 +210,7 @@ class TraceReplayPredictor:
         stack, and the unresolved remainder — lives on the machine's
         slowest tier (the fall-back of the multiple-knapsack scheme).
         """
-        if isinstance(profiles, TraceFile):
-            profiles = self.profiles_from_trace(profiles)
+        profiles = self._profiles(profiles)
         total_samples = profiles.total_samples
         if total_samples == 0:
             raise AdvisorError("cannot predict from an empty profile set")
@@ -270,20 +277,19 @@ class TraceReplayPredictor:
             cost=cost, traffic=traffic, promoted_miss_share=fast_share
         )
 
-    def predict_ddr(self, profiles: ProfileSet | TraceFile) -> PredictedOutcome:
+    def predict_ddr(self, profiles: ProfileSet | Trace) -> PredictedOutcome:
         """The all-DDR prediction (sanity anchor: equals fom_ddr)."""
         empty = PlacementReport(application="", strategy="ddr")
         return self.predict(profiles, empty)
 
     def sweep(
         self,
-        profiles: ProfileSet | TraceFile,
+        profiles: ProfileSet | Trace,
         reports: dict[str, PlacementReport],
     ) -> dict[str, PredictedOutcome]:
         """Predict several candidate placements from one profile set —
         the cheap what-if loop re-execution cannot offer."""
-        if isinstance(profiles, TraceFile):
-            profiles = self.profiles_from_trace(profiles)
+        profiles = self._profiles(profiles)
         return {
             label: self.predict(profiles, report)
             for label, report in reports.items()

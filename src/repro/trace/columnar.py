@@ -88,6 +88,8 @@ _CORE_COLUMNS = (
     "aux",
     "allocator_ids",
 )
+#: Every per-event column.
+EVENT_COLUMNS = (*_CORE_COLUMNS, "latencies")
 _STATIC_COLUMNS = ("static_ranks", "static_addresses", "static_sizes")
 
 _COLUMN_DTYPES = {
@@ -198,14 +200,7 @@ class ColumnarTrace:
             ranks=self.ranks,
             sampling_period=self.sampling_period,
             metadata=dict(self.metadata),
-            times=self.times[mask],
-            kinds=self.kinds[mask],
-            event_ranks=self.event_ranks[mask],
-            addresses=self.addresses[mask],
-            sizes=self.sizes[mask],
-            latencies=self.latencies[mask],
-            aux=self.aux[mask],
-            allocator_ids=self.allocator_ids[mask],
+            **{name: getattr(self, name)[mask] for name in EVENT_COLUMNS},
             callstacks=self.callstacks,
             functions=self.functions,
             allocators=self.allocators,

@@ -10,7 +10,9 @@ references for the LLC misses". The tracer therefore:
 * filters allocations below a minimum size (the paper monitors only
   allocations larger than 4 KiB "to avoid small (and possibly
   frequent) allocations such as those related to I/O");
-* owns the PEBS sampler and folds its samples into the trace;
+* owns the PEBS sampler and folds its samples into the trace as
+  NumPy columns (the sparse allocation/phase records are the only
+  per-event objects it builds);
 * records phase (function) markers for the Folding analysis;
 * accounts its own monitoring overhead so Table I's overhead column
   can be reproduced.
@@ -18,7 +20,8 @@ references for the LLC misses". The tracer therefore:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +29,11 @@ from repro.pebs.sampler import PebsSampler
 from repro.runtime.allocator import Allocation
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import translate_cost_us, unwind_cost_us
+from repro.trace.columnar import KIND_SAMPLE, NO_LATENCY, ColumnarTrace
 from repro.trace.events import (
     AllocEvent,
     FreeEvent,
     PhaseEvent,
-    SampleEvent,
     StaticVarRecord,
 )
 from repro.trace.tracefile import TraceFile
@@ -52,11 +55,8 @@ class TracerConfig:
     #: Record per-sample access latency (Xeon-style PEBS; the Xeon Phi
     #: PMU the paper uses does not provide it).
     record_latency: bool = False
-    #: Keep sampled misses as NumPy columns instead of per-sample
-    #: event objects. The sparse alloc/free/phase records still go
-    #: through :attr:`Tracer.trace`; samples — the bulk of any trace —
-    #: never exist as Python objects, and :meth:`Tracer.columnar_trace`
-    #: merges both into a :class:`~repro.trace.columnar.ColumnarTrace`.
+    #: Ignored; kept so existing callers stay constructible. Samples
+    #: are always kept as NumPy columns (see :meth:`Tracer.columnar_trace`).
     columnar_samples: bool = False
 
 
@@ -71,6 +71,8 @@ class Tracer:
     ) -> None:
         self.config = config or TracerConfig()
         self.rank = rank
+        #: The sparse records (alloc/free/phase, statics, metadata);
+        #: samples never become row events here.
         self.trace = TraceFile(
             application=application,
             ranks=1,
@@ -83,16 +85,21 @@ class Tracer:
         self._process: SimProcess | None = None
         #: Seconds of perturbation the tracer added (Table I overhead).
         self.overhead_seconds = 0.0
-        #: Column chunks of picked samples (``columnar_samples`` mode):
-        #: (addresses, times, latencies-or-None) per fed chunk.
+        #: Picked samples per fed chunk: (records traced before it,
+        #: addresses, times, latencies-or-None).
         self._sample_chunks: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray | None]
+            tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
         ] = []
+        #: Last merge and the (records, chunks) counts it covered.
+        self._merged: tuple[tuple[int, int], ColumnarTrace] | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, process: SimProcess) -> None:
-        self._process = process
+        # The process holds the tracer as an observer; a weak reference
+        # back keeps the pair out of a cycle, so a dropped profile's
+        # columns are freed at once rather than at the next collection.
+        self._process = weakref.proxy(process)
         process.add_observer(self)
         self.trace.metadata["stack_region"] = [
             process.stack_region.base,
@@ -147,49 +154,27 @@ class Tracer:
     ) -> int:
         """Feed a chunk of LLC misses through the PEBS sampler.
 
-        Returns the number of samples folded into the trace.
+        Returns the number of samples folded into the trace. The picks
+        stay NumPy columns, buffered beside the count of records traced
+        so far; no per-sample Python object is ever built.
         ``latencies`` is only stored when the tracer is configured for
         a latency-reporting PMU.
         """
         if not self.config.record_latency:
             latencies = None
-        # Array-native attribution: the sampler picks positions in
-        # NumPy and only the sparse picks become trace records —
-        # per-miss Python work never happens.
         picked_addrs, picked_times, picked_lats = (
             self.sampler.sample_chunk_arrays(addresses, times, latencies)
         )
-        if self.config.columnar_samples:
-            n_picked = int(picked_addrs.size)
-            if n_picked:
-                self._sample_chunks.append(
-                    (picked_addrs, picked_times, picked_lats)
-                )
-            self.overhead_seconds += (
-                n_picked * self.config.sample_cost_us * MICROSECOND
+        n_picked = int(picked_addrs.size)
+        if n_picked:
+            self._sample_chunks.append(
+                (len(self.trace.events), picked_addrs, picked_times,
+                 picked_lats)
             )
-            return n_picked
-        rank = self.rank
-        if picked_lats is None:
-            events = [
-                SampleEvent(time=float(t), rank=rank, address=int(a))
-                for a, t in zip(picked_addrs, picked_times)
-            ]
-        else:
-            events = [
-                SampleEvent(
-                    time=float(t),
-                    rank=rank,
-                    address=int(a),
-                    latency_cycles=int(c),
-                )
-                for a, t, c in zip(picked_addrs, picked_times, picked_lats)
-            ]
-        self.trace.extend(events)
         self.overhead_seconds += (
-            len(events) * self.config.sample_cost_us * MICROSECOND
+            n_picked * self.config.sample_cost_us * MICROSECOND
         )
-        return len(events)
+        return n_picked
 
     def record_phase(self, function: str, clock: float) -> None:
         """Mark entry into a code phase (for the Folding analysis)."""
@@ -197,67 +182,73 @@ class Tracer:
             PhaseEvent(time=clock, rank=self.rank, function=function)
         )
 
-    def columnar_trace(self) -> "ColumnarTrace":
+    def columnar_trace(self) -> ColumnarTrace:
         """Everything traced so far as one :class:`ColumnarTrace`.
 
-        In ``columnar_samples`` mode the buffered sample columns are
-        appended to the columnarised event records — samples go from
-        the PMU to the columnar trace without ever existing as Python
-        objects. Event order within the arrays is "records then
-        samples"; attribution orders by time/priority itself, so the
-        result is analysis-equivalent to the row-mode trace.
+        Rows are in recording order — each sample chunk sits after the
+        records traced before it — so the result equals columnarising
+        the same run traced event by event. Every column is allocated
+        once at its final length and filled in place; the buffered
+        chunks then become views into the merged columns, so the
+        tracer keeps no second copy of its samples. Repeated calls
+        return the same trace until something new is recorded.
         """
-        from repro.trace.columnar import (
-            KIND_SAMPLE,
-            NO_LATENCY,
-            ColumnarTrace,
-        )
-
+        key = (len(self.trace.events), len(self._sample_chunks))
+        if self._merged is not None and self._merged[0] == key:
+            return self._merged[1]
         base = ColumnarTrace.from_tracefile(self.trace)
-        if not self._sample_chunks:
+        chunks = self._sample_chunks
+        if not chunks:
+            self._merged = (key, base)
             return base
-        addr = np.concatenate([c[0] for c in self._sample_chunks])
-        times = np.concatenate([c[1] for c in self._sample_chunks])
-        lats = np.concatenate(
-            [
-                c[2]
-                if c[2] is not None
-                else np.full(c[0].size, NO_LATENCY, dtype=np.int64)
-                for c in self._sample_chunks
-            ]
+        before = np.array([c[0] for c in chunks], dtype=np.int64)
+        counts = np.array([c[1].size for c in chunks], dtype=np.int64)
+        ends = np.cumsum(counts)
+        starts = before + ends - counts
+        # A record moves down by the samples of every chunk fed before it.
+        n_records = base.n_events
+        record_rows = np.arange(n_records) + np.concatenate(([0], ends))[
+            np.searchsorted(before, np.arange(n_records), side="right")
+        ]
+        n = n_records + int(ends[-1])
+
+        def column(records, fill=None, part=None):
+            out = (
+                np.empty(n, dtype=records.dtype)
+                if fill is None
+                else np.full(n, fill, dtype=records.dtype)
+            )
+            if part is not None:
+                for start, chunk in zip(starts.tolist(), chunks):
+                    if chunk[part] is not None:
+                        out[start:start + chunk[part].size] = chunk[part]
+            out[record_rows] = records
+            return out
+
+        merged = replace(
+            base,
+            times=column(base.times, part=2),
+            kinds=column(base.kinds, fill=KIND_SAMPLE),
+            event_ranks=column(base.event_ranks, fill=self.rank),
+            addresses=column(base.addresses, part=1),
+            sizes=column(base.sizes, fill=0),
+            latencies=column(base.latencies, fill=NO_LATENCY, part=3),
+            aux=column(base.aux, fill=-1),
+            allocator_ids=column(base.allocator_ids, fill=-1),
         )
-        n = addr.size
-        return ColumnarTrace(
-            application=base.application,
-            ranks=base.ranks,
-            sampling_period=base.sampling_period,
-            metadata=base.metadata,
-            times=np.concatenate([base.times, times.astype(np.float64)]),
-            kinds=np.concatenate(
-                [base.kinds, np.full(n, KIND_SAMPLE, dtype=np.uint8)]
-            ),
-            event_ranks=np.concatenate(
-                [base.event_ranks, np.full(n, self.rank, dtype=np.int32)]
-            ),
-            addresses=np.concatenate(
-                [base.addresses, addr.astype(np.int64)]
-            ),
-            sizes=np.concatenate([base.sizes, np.zeros(n, dtype=np.int64)]),
-            latencies=np.concatenate(
-                [base.latencies, lats.astype(np.int64)]
-            ),
-            aux=np.concatenate([base.aux, np.full(n, -1, dtype=np.int32)]),
-            allocator_ids=np.concatenate(
-                [base.allocator_ids, np.full(n, -1, dtype=np.int32)]
-            ),
-            callstacks=base.callstacks,
-            functions=base.functions,
-            allocators=base.allocators,
-            static_names=base.static_names,
-            static_ranks=base.static_ranks,
-            static_addresses=base.static_addresses,
-            static_sizes=base.static_sizes,
-        )
+        self._sample_chunks = [
+            (
+                chunk[0],
+                merged.addresses[start:start + chunk[1].size],
+                merged.times[start:start + chunk[1].size],
+                None
+                if chunk[3] is None
+                else merged.latencies[start:start + chunk[1].size],
+            )
+            for start, chunk in zip(starts.tolist(), chunks)
+        ]
+        self._merged = (key, merged)
+        return merged
 
     # -- summary -------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.analysis.folding import fold_trace
+from repro.apps import get_app
 from repro.trace.events import PhaseEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
 
@@ -72,3 +73,35 @@ class TestFolding:
         timeline = fold_trace(_trace(), n_bins=4, t_start=0.0, t_end=20.0)
         assert len(timeline.mips_series()) == 4
         assert len(timeline.function_series()) == 4
+
+
+def _fold_rows(trace, n_bins, t_start, t_end):
+    """Reference: bin the row-oriented export event by event."""
+    phases = sorted(trace.phase_events, key=lambda e: e.time)
+    samples = sorted(trace.sample_events, key=lambda e: e.time)
+    width = (t_end - t_start) / n_bins
+    bins = []
+    for i in range(n_bins):
+        t0 = t_start + i * width
+        t1 = t0 + width
+        active = [p for p in phases if p.time <= t0 + width / 2]
+        function = (active[-1] if active else phases[0]).function
+        addresses = tuple(s.address for s in samples if t0 <= s.time < t1)
+        bins.append((t0, t1, function, addresses))
+    return bins
+
+
+class TestColumnarInput:
+    def test_snap_columns_fold_like_rows(self):
+        app = get_app("snap")
+        trace = app.run_profiling(seed=0).trace
+        t0 = app.calibration.ddr_time * app.init_fraction
+        t1 = t0 + 4 * (app.calibration.ddr_time - t0) / app.n_iterations
+        timeline = fold_trace(trace, n_bins=80, t_start=t0, t_end=t1)
+        assert [
+            (b.t0, b.t1, b.function, b.addresses) for b in timeline.bins
+        ] == _fold_rows(trace.to_tracefile(), 80, t0, t1)
+        assert timeline == fold_trace(
+            trace.to_tracefile(), n_bins=80, t_start=t0, t_end=t1
+        )
+        assert sum(len(b.addresses) for b in timeline.bins) > 100

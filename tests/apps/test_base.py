@@ -102,19 +102,19 @@ class TestProfilingRun:
         assert float(times.max()) <= 100.0
 
     def test_trace_has_allocations_and_samples(self, tiny_profiling):
-        trace = tiny_profiling.trace
+        trace = tiny_profiling.trace.to_tracefile()
         assert len(trace.alloc_events) > 0
         assert len(trace.sample_events) > 0
         assert len(trace.phase_events) > 0
         assert trace.statics[0].name == "lookup_table"
 
     def test_churn_produces_alloc_free_pairs(self, tiny_profiling):
-        trace = tiny_profiling.trace
+        trace = tiny_profiling.trace.to_tracefile()
         assert len(trace.free_events) >= 5  # one per iteration
 
     def test_sample_count_matches_period(self, tiny_profiling):
         truth = tiny_profiling.ground_truth
-        n_samples = len(tiny_profiling.trace.sample_events)
+        n_samples = tiny_profiling.trace.n_samples
         assert n_samples == pytest.approx(truth.total_misses / 5, rel=0.02)
 
     def test_deterministic(self, tiny_app):

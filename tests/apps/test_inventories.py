@@ -99,7 +99,7 @@ class TestPerApp:
         app = get_app(name)
         run = app.run_profiling(seed=0)
         assert run.ground_truth.total_misses > 1000
-        assert len(run.trace.alloc_events) > 0
+        assert run.trace.n_allocs > 0
 
 
 class TestAppSpecificMechanisms:

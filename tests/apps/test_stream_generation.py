@@ -84,7 +84,7 @@ class TestGroundTruthStream:
         """Objects declared for one phase never emit misses in bins of
         another phase (checked via sample timestamps vs phase spans)."""
         run = tiny_app.run_profiling(seed=0)
-        trace = run.trace
+        trace = run.trace.to_tracefile()
         # big_matrix only touched in "compute" (70 % head of each
         # iteration); scratch churns in compute too. exchange-phase
         # samples must all come from objects touched in exchange.

@@ -1,7 +1,9 @@
 """FaultInjector: every decision is a pure function of (seed, identity)."""
 
 import shutil
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -21,12 +23,19 @@ from repro.faults.injector import (
     WINDOW_FATES,
     WINDOW_OK,
     FaultInjector,
+    _unit,
     damage_trace_file,
 )
 from repro.faults.plan import FaultPlan
 from repro.runtime.callstack import RawCallStack
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
+from repro.trace.columnar import (
+    EVENT_COLUMNS,
+    KIND_PHASE,
+    KIND_SAMPLE,
+    ColumnarTrace,
+)
 from repro.trace.events import PhaseEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
 from repro.units import KIB, MIB
@@ -42,6 +51,10 @@ def _sample_trace(n=400, application="demo"):
     return trace
 
 
+def _sample_columns(n=400, application="demo"):
+    return ColumnarTrace.from_tracefile(_sample_trace(n, application))
+
+
 def _process():
     modules = [
         ModuleImage(
@@ -53,49 +66,97 @@ def _process():
     return SimProcess(modules=modules, heap_size=64 * MIB, hbw_size=16 * MIB)
 
 
+def _row_degraded(trace: TraceFile, plan: FaultPlan) -> tuple[int, int]:
+    """Reference: the same draws applied event by event to a row trace."""
+    scope = zlib.crc32(trace.application.encode())
+    kept = []
+    dropped = corrupted = 0
+    index = 0
+    for event in trace.events:
+        if not isinstance(event, SampleEvent):
+            kept.append(event)
+            continue
+        u = _unit(plan.seed, "sample", scope, index)
+        index += 1
+        if u < plan.sample_drop_rate:
+            dropped += 1
+            continue
+        if u < plan.sample_drop_rate + plan.sample_corrupt_rate:
+            garbage = int(_unit(plan.seed, "corrupt", scope, index) * 2**46)
+            event = SampleEvent(
+                time=event.time,
+                rank=event.rank,
+                address=(event.address ^ 0x5A5A_5A5A_5A5A) + garbage,
+                latency_cycles=event.latency_cycles,
+            )
+            corrupted += 1
+        kept.append(event)
+    trace.events = kept
+    return dropped, corrupted
+
+
 class TestDegradeTrace:
     def test_drop_and_corrupt_counts(self):
-        trace = _sample_trace()
+        trace = _sample_columns()
         plan = FaultPlan(seed=42, sample_drop_rate=0.1, sample_corrupt_rate=0.05)
         dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
         assert 0 < dropped < 400
         assert 0 < corrupted < 400
-        assert len(trace.sample_events) == 400 - dropped
+        assert trace.n_samples == 400 - dropped
         # Non-sample events are never touched.
-        assert len(trace.phase_events) == 1
+        assert np.count_nonzero(trace.kinds == KIND_PHASE) == 1
 
     def test_deterministic(self):
         plan = FaultPlan(seed=7, sample_drop_rate=0.2, sample_corrupt_rate=0.1)
-        a, b = _sample_trace(), _sample_trace()
+        a, b = _sample_columns(), _sample_columns()
         counts_a = FaultInjector(plan).degrade_trace(a)
         counts_b = FaultInjector(plan).degrade_trace(b)
         assert counts_a == counts_b
-        assert a.events == b.events
+        assert a.to_tracefile().events == b.to_tracefile().events
 
     def test_keyed_on_application_name(self):
         plan = FaultPlan(seed=7, sample_drop_rate=0.2)
-        a = _sample_trace(application="alpha")
-        b = _sample_trace(application="beta")
+        a = _sample_columns(application="alpha")
+        b = _sample_columns(application="beta")
         FaultInjector(plan).degrade_trace(a)
         FaultInjector(plan).degrade_trace(b)
-        assert a.events != b.events
+        assert a.to_tracefile().events != b.to_tracefile().events
 
     def test_clean_plan_is_a_noop(self):
-        trace = _sample_trace(n=10)
-        before = list(trace.events)
+        trace = _sample_columns(n=10)
+        before = list(trace.to_tracefile().events)
         assert FaultInjector(FaultPlan(seed=1)).degrade_trace(trace) == (0, 0)
-        assert trace.events == before
+        assert trace.to_tracefile().events == before
 
     def test_corruption_perturbs_addresses(self):
-        trace = _sample_trace(n=50)
-        originals = [e.address for e in trace.sample_events]
+        trace = _sample_columns(n=50)
+        originals = trace.addresses[trace.kinds == KIND_SAMPLE].tolist()
         plan = FaultPlan(seed=3, sample_corrupt_rate=1.0)
         dropped, corrupted = FaultInjector(plan).degrade_trace(trace)
         assert (dropped, corrupted) == (0, 50)
         assert all(
-            e.address != o
-            for e, o in zip(trace.sample_events, originals)
+            a != o
+            for a, o in zip(
+                trace.addresses[trace.kinds == KIND_SAMPLE].tolist(),
+                originals,
+            )
         )
+
+    def test_equals_row_degradation(self, tiny_app):
+        """Column degradation draws per sample in recording order, so
+        it equals degrading the row-oriented export event by event."""
+        trace = tiny_app.run_profiling(seed=0).trace
+        rows = trace.to_tracefile()
+        plan = FaultPlan(seed=5, sample_drop_rate=0.2, sample_corrupt_rate=0.1)
+        counts = FaultInjector(plan).degrade_trace(trace)
+        assert counts == _row_degraded(rows, plan)
+        assert counts[0] > 0 and counts[1] > 0
+        expected = ColumnarTrace.from_tracefile(rows)
+        for name in EVENT_COLUMNS:
+            column = getattr(trace, name)
+            assert column.dtype == getattr(expected, name).dtype
+            assert np.array_equal(column, getattr(expected, name)), name
+        assert trace.to_tracefile() == rows
 
 
 class TestCallstackPerturbation:

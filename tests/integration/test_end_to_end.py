@@ -29,7 +29,7 @@ class TestFullPipelineThroughFiles:
         # Stage 1: instrumented run, trace persisted.
         profiling = fw.profile()
         trace_path = tmp_path / "run.trace"
-        profiling.trace.save(trace_path)
+        profiling.trace.to_tracefile().save(trace_path)
 
         # Stage 2: Paramedir over the loaded trace -> CSV.
         trace = TraceFile.load(trace_path)
@@ -59,7 +59,7 @@ class TestFullPipelineThroughFiles:
 
         profiling = fw.profile()
         trace_path = tmp_path / "run.trace"
-        profiling.trace.save(trace_path)
+        profiling.trace.to_tracefile().save(trace_path)
         profiles = Paramedir().analyze(TraceFile.load(trace_path))
         report = HmemAdvisor(fw.memory_spec(128 * MIB)).advise(
             profiles, get_strategy("density")

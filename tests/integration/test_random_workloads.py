@@ -90,7 +90,7 @@ class TestPipelineInvariants:
         # 1. Attribution conserves samples.
         profiles = fw.analyze()
         trace = fw.profile().trace
-        assert profiles.total_samples == len(trace.sample_events)
+        assert profiles.total_samples == trace.n_samples
 
         # 2. Estimated misses approximate the ground truth globally.
         truth = fw.profile().ground_truth
@@ -131,10 +131,11 @@ class TestPipelineInvariants:
         app, seed = app_and_seed
         run = app.run_profiling(seed=seed)
         path = tmp_path_factory.mktemp("traces") / "random.trace"
-        run.trace.save(path)
+        rows = run.trace.to_tracefile()
+        rows.save(path)
         clone = TraceFile.load(path)
-        assert clone.events == run.trace.events
-        assert clone.statics == run.trace.statics
+        assert clone.events == rows.events
+        assert clone.statics == rows.statics
         # The analysis of the loaded trace matches the in-memory one.
         a = Paramedir().analyze(run.trace)
         b = Paramedir().analyze(clone)

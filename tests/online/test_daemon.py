@@ -1,5 +1,9 @@
 """The online re-advising daemon: determinism, lag, scoring."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.registry import get_app
@@ -184,3 +188,31 @@ class TestFrameworkWindowedMode:
         )
         assert outcome.improvement > 0.0
         assert len(outcome.run.decisions) == OnlineConfig().n_windows
+
+
+class TestHashSeedIndependence:
+    def test_lulesh_journal_same_under_two_hash_seeds(self, tmp_path):
+        """lulesh's node_velocities and node_forces tie on (misses,
+        size) in some windows; the decisions must not follow the
+        order of Python's hash-seeded sets."""
+        code = (
+            "import sys; from repro.cli.main import online_main; "
+            "sys.exit(online_main())"
+        )
+        journals = []
+        for hash_seed in ("0", "1"):
+            path = tmp_path / f"lulesh-{hash_seed}.journal"
+            result = subprocess.run(
+                [
+                    sys.executable, "-c", code, "lulesh",
+                    "--budget", "128M", "--seed", "0",
+                    "--journal", str(path),
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert result.returncode == 0, result.stderr
+            journals.append(path.read_bytes())
+        assert journals[0] == journals[1]
+        assert len(journals[0]) > 0

@@ -76,13 +76,16 @@ class TestTracerModes:
         must not carry it even if the stream has it."""
         run = tiny_app.run_profiling(seed=0)
         assert all(
-            s.latency_cycles is None for s in run.trace.sample_events
+            s.latency_cycles is None
+            for s in run.trace.to_tracefile().sample_events
         )
 
     def test_xeon_mode_records_latency(self, tiny_app):
         config = TracerConfig(sampling_period=5, record_latency=True)
         run = tiny_app.run_profiling(seed=0, tracer_config=config)
-        latencies = [s.latency_cycles for s in run.trace.sample_events]
+        latencies = [
+            s.latency_cycles for s in run.trace.to_tracefile().sample_events
+        ]
         assert all(l is not None and l > 0 for l in latencies)
         # random-pattern objects cost more than sequential ones.
         assert min(latencies) < max(latencies)

@@ -50,6 +50,19 @@ class TestPrediction:
         from_trace = predictor.predict(fw.profile().trace, report)
         assert from_trace.fom == pytest.approx(from_profiles.fom)
 
+    def test_prediction_from_row_trace(self, tiny_app, machine, predictor):
+        """The JSONL-codec form predicts like the columnar profile."""
+        fw = HybridMemoryFramework(tiny_app, machine)
+        report = fw.advise(128 * MIB, "misses-0%")
+        from_profiles = predictor.predict(fw.analyze(), report)
+        rows = fw.profile().trace.to_tracefile()
+        assert predictor.predict(rows, report).fom == pytest.approx(
+            from_profiles.fom
+        )
+        assert predictor.predict_tiered(rows, report).fom == pytest.approx(
+            predictor.predict_tiered(fw.analyze(), report).fom
+        )
+
     def test_monotone_in_selection(self, tiny_app, machine, predictor):
         fw = HybridMemoryFramework(tiny_app, machine)
         profiles = fw.analyze()

@@ -1,10 +1,14 @@
 """Extrae-substitute tracer: size filter, samples, overhead."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
+from repro.trace.columnar import KIND_ALLOC, KIND_FREE, KIND_PHASE, KIND_SAMPLE
 from repro.trace.tracer import Tracer, TracerConfig
 from repro.units import KIB, MIB
 
@@ -76,7 +80,7 @@ class TestSampling:
         addrs = np.arange(30, dtype=np.uint64) * 64
         n = tracer.record_misses(addrs, np.linspace(0, 1, 30))
         assert n == 10  # period 3
-        assert len(tracer.trace.sample_events) == 10
+        assert tracer.columnar_trace().n_samples == 10
 
     def test_phase_markers(self, traced):
         _, tracer = traced
@@ -89,7 +93,7 @@ class TestColumnarSamples:
         process = _process()
         tracer = Tracer(
             TracerConfig(min_alloc_size=4 * KIB, sampling_period=3,
-                         columnar_samples=True, **kwargs),
+                         **kwargs),
             application="t", rank=0,
         )
         tracer.attach(process)
@@ -117,31 +121,75 @@ class TestColumnarSamples:
         )
 
     def test_attribution_equivalent_to_row_mode(self):
-        """Columnar direct emission and row-mode tracing of the same
-        workload must attribute identically."""
+        """Attributing the columns directly must equal the per-event
+        oracle over the same trace's row-oriented export."""
         from repro.analysis.attribution import attribute_samples
         from repro.analysis.vectorattr import attribute_samples_vector
 
-        def run(columnar):
+        process = _process()
+        tracer = Tracer(
+            TracerConfig(min_alloc_size=4 * KIB, sampling_period=3,
+                         record_latency=True),
+            application="t", rank=0,
+        )
+        tracer.attach(process)
+        with process.in_function("app", "main", 1):
+            address = process.malloc(8 * KIB)
+        misses = address + (np.arange(30, dtype=np.uint64) * 64) % (8 * KIB)
+        tracer.record_misses(misses, np.linspace(0.1, 0.9, 30),
+                             np.full(30, 250, dtype=np.int64))
+        cols = tracer.columnar_trace()
+        assert cols.n_samples == 10
+        assert attribute_samples_vector(cols) == (
+            attribute_samples(cols.to_tracefile())
+        )
+
+    def test_rows_in_recording_order(self):
+        """Each sample chunk lands after the records traced before it,
+        exactly where an event-by-event trace would hold it."""
+        process, tracer = self._tracer()
+        tracer.record_misses(np.arange(9, dtype=np.uint64) * 64,
+                             np.linspace(0.0, 0.1, 9))
+        with process.in_function("app", "main", 1):
+            address = process.malloc(8 * KIB)
+        tracer.record_phase("solve", 0.2)
+        tracer.record_misses(np.arange(6, dtype=np.uint64) * 64 + address,
+                             np.linspace(0.3, 0.4, 6))
+        process.free(address)
+        cols = tracer.columnar_trace()
+        assert cols.kinds.tolist() == (
+            [KIND_SAMPLE] * 3 + [KIND_ALLOC, KIND_PHASE]
+            + [KIND_SAMPLE] * 2 + [KIND_FREE]
+        )
+        assert cols.to_tracefile().events[3] == tracer.trace.events[0]
+
+    def test_repeatable_and_releases_chunks(self):
+        _, tracer = self._tracer()
+        tracer.record_misses(np.arange(30, dtype=np.uint64) * 64,
+                             np.linspace(0, 1, 30))
+        first = tracer.columnar_trace()
+        assert tracer.columnar_trace() is first
+        # The buffered chunk is now a view into the merged columns.
+        assert np.shares_memory(tracer._sample_chunks[0][1], first.addresses)
+        tracer.record_misses(np.arange(30, 60, dtype=np.uint64) * 64,
+                             np.linspace(1, 2, 30))
+        second = tracer.columnar_trace()
+        assert second.n_samples == 20
+        assert np.array_equal(second.addresses[:10], first.addresses)
+
+    def test_columnar_samples_flag_is_ignored(self):
+        def trace(flag):
             process = _process()
             tracer = Tracer(
-                TracerConfig(min_alloc_size=4 * KIB, sampling_period=3,
-                             columnar_samples=columnar, record_latency=True),
+                TracerConfig(sampling_period=3, columnar_samples=flag),
                 application="t", rank=0,
             )
             tracer.attach(process)
-            with process.in_function("app", "main", 1):
-                address = process.malloc(8 * KIB)
-            misses = address + (np.arange(30, dtype=np.uint64) * 64) % (8 * KIB)
-            tracer.record_misses(misses, np.linspace(0.1, 0.9, 30),
-                                 np.full(30, 250, dtype=np.int64))
-            return tracer
+            tracer.record_misses(np.arange(30, dtype=np.uint64) * 64,
+                                 np.linspace(0, 1, 30))
+            return tracer.columnar_trace().to_tracefile()
 
-        row = run(columnar=False)
-        col = run(columnar=True)
-        assert attribute_samples_vector(col.columnar_trace()) == (
-            attribute_samples(row.trace)
-        )
+        assert trace(False) == trace(True)
 
     def test_no_samples_returns_base_records(self):
         process, tracer = self._tracer()
@@ -191,3 +239,18 @@ class TestOverhead:
         _, tracer = traced
         with pytest.raises(ValueError):
             tracer.monitoring_overhead(0.0)
+
+
+class TestLifetime:
+    def test_dropped_profile_freed_without_cycle_collection(self, tiny_app):
+        """The process holds its tracer as an observer; the tracer must
+        not hold the process strongly back, or a dropped profile's
+        columns wait for the cycle collector."""
+        gc.disable()
+        try:
+            run = tiny_app.run_profiling(seed=0)
+            columns = weakref.ref(run.trace)
+            del run
+            assert columns() is None
+        finally:
+            gc.enable()
