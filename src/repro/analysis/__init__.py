@@ -8,7 +8,7 @@ time-binned view used for Figure 5.
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.objects import ObjectKey
-from repro.analysis.attribution import AttributionResult, attribute_samples
+from repro.analysis.attribution import AttributionResult
 from repro.analysis.vectorattr import attribute_samples_vector
 from repro.analysis.profile import ObjectProfile, ProfileSet
 from repro.analysis.paramedir import Paramedir, write_profiles_csv, read_profiles_csv
@@ -23,7 +23,6 @@ __all__ = [
     "AnalysisConfig",
     "ObjectKey",
     "AttributionResult",
-    "attribute_samples",
     "attribute_samples_vector",
     "ObjectProfile",
     "ProfileSet",

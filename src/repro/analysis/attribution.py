@@ -1,14 +1,11 @@
-"""Sample-to-object attribution.
+"""Sample-to-object attribution results.
 
 Extrae "registers the address of the particular load or store
 instruction that missed in LLC, and it correlates with its
 corresponding object by matching the accessed address against the
 previously allocated object's address ranges" (Section III, Step 1).
-
-Because the default allocator reuses addresses (free lists), matching
-must respect time: the replay walks allocation, deallocation and
-sample events in timestamp order, maintaining a live-range index, so a
-sample lands on the object that owned the address *at sample time*.
+:mod:`repro.analysis.vectorattr` does that matching; this module holds
+what it produces and the stack-region rule it applies.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.objects import ObjectKey
-from repro.runtime.heap import LiveRangeIndex
 from repro.trace.events import AllocEvent, FreeEvent, SampleEvent
-from repro.trace.tracefile import TraceFile
 
 
 @dataclass
@@ -61,8 +56,8 @@ def stack_region_of(metadata: dict) -> tuple[int | None, int | None]:
 
     The tracer stores it as a two-element sequence; a JSON round-trip
     turns tuples into lists, and a damaged/absent entry must read as
-    "no stack region" rather than crash the whole analysis — both
-    attribution engines share this normalisation.
+    "no stack region" rather than crash the whole analysis — the vector
+    kernel and its per-event oracle share this normalisation.
     """
     region = metadata.get("stack_region")
     if not isinstance(region, (list, tuple)) or len(region) != 2:
@@ -71,54 +66,3 @@ def stack_region_of(metadata: dict) -> tuple[int | None, int | None]:
     if not isinstance(base, int) or not isinstance(size, int):
         return (None, None)
     return (base, size)
-
-
-def attribute_samples(trace: TraceFile) -> AttributionResult:
-    """Replay ``trace`` and attribute every sample to an object."""
-    result = AttributionResult()
-    index: LiveRangeIndex[ObjectKey] = LiveRangeIndex()
-
-    stack_base, stack_size = stack_region_of(trace.metadata)
-
-    for static in trace.statics:
-        key = ObjectKey.static(static.name)
-        index.insert(static.address, static.size, key)
-        result.max_size[key] = static.size
-        result.total_allocated[key] = static.size
-        result.n_allocs[key] = result.n_allocs.get(key, 0) + 1
-
-    events = sorted(
-        trace.events, key=lambda e: (e.time, _PRIORITY.get(type(e), 3))
-    )
-
-    for event in events:
-        if isinstance(event, AllocEvent):
-            key = ObjectKey.dynamic(event.callstack)
-            index.insert(event.address, event.size, key)
-            result.max_size[key] = max(result.max_size.get(key, 0), event.size)
-            result.total_allocated[key] = (
-                result.total_allocated.get(key, 0) + event.size
-            )
-            result.n_allocs[key] = result.n_allocs.get(key, 0) + 1
-        elif isinstance(event, FreeEvent):
-            index.remove(event.address)
-        elif isinstance(event, SampleEvent):
-            result.total_samples += 1
-            key = index.lookup(event.address)
-            if key is not None:
-                result.misses[key] = result.misses.get(key, 0) + 1
-                if event.latency_cycles is not None:
-                    result.latency_sum[key] = (
-                        result.latency_sum.get(key, 0) + event.latency_cycles
-                    )
-            elif (
-                stack_base is not None
-                and stack_base <= event.address < stack_base + stack_size
-            ):
-                skey = ObjectKey.stack()
-                result.misses[skey] = result.misses.get(skey, 0) + 1
-                result.stack_samples += 1
-            else:
-                result.unresolved_samples += 1
-
-    return result

@@ -15,18 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.attribution import attribute_samples
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.objects import ObjectKey, ObjectKind
 from repro.analysis.profile import ObjectProfile, ProfileSet
 from repro.analysis.vectorattr import attribute_samples_vector
-from repro.errors import AttributionError, ConfigError
+from repro.errors import AttributionError
 from repro.trace.columnar import KIND_SAMPLE, ColumnarTrace
 from repro.trace.tracefile import TraceFile
-
-#: Attribution engines: ``vector`` is the default columnar fast path,
-#: ``oracle`` the per-event replay it is proven against.
-ENGINES = ("vector", "oracle")
 
 
 class Paramedir:
@@ -38,37 +33,17 @@ class Paramedir:
     samples are counted (time window, ranks) and which objects are
     reported (size floor, statics, top-N). Allocation history is
     never filtered — live ranges must be complete for attribution.
-
-    ``engine`` selects the attribution kernel: ``"vector"`` (default)
-    runs the batched columnar kernel, ``"oracle"`` the original
-    per-event replay — both produce identical profiles; the oracle is
-    the fallback when the fast path is in doubt.
     """
 
-    def __init__(
-        self,
-        config: "AnalysisConfig | None" = None,
-        engine: str = "vector",
-    ) -> None:
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown attribution engine {engine!r}; have {ENGINES}"
-            )
+    def __init__(self, config: "AnalysisConfig | None" = None) -> None:
         self.config = config
-        self.engine = engine
 
     def analyze(self, trace: "TraceFile | ColumnarTrace") -> ProfileSet:
         """Compute the per-object statistics for one trace."""
         if self.config is not None:
             trace = self._narrow(trace)
-        if self.engine == "vector":
-            result = attribute_samples_vector(trace)
-        else:
-            if isinstance(trace, ColumnarTrace):
-                trace = trace.to_tracefile()
-            result = attribute_samples(trace)
         profiles = ProfileSet.from_attribution(
-            result,
+            attribute_samples_vector(trace),
             sampling_period=trace.sampling_period,
             application=trace.application,
         )

@@ -1,8 +1,8 @@
 """Vectorised sample-to-object attribution (the columnar fast path).
 
-:func:`repro.analysis.attribution.attribute_samples` replays the trace
-one dataclass event at a time — exact, and kept in-tree as the
-correctness oracle, but ~10^5-10^6 events/s of pure Python. This
+:func:`repro._oracles.attribute_samples` replays the trace one
+dataclass event at a time — exact, and kept as the tests' correctness
+oracle, but ~10^5-10^6 events/s of pure Python. This
 module reproduces its result bit for bit on a
 :class:`~repro.trace.columnar.ColumnarTrace` by exploiting the
 structure of the workload:
@@ -559,7 +559,8 @@ class IncrementalAttributor:
 def attribute_samples_vector(
     trace: "ColumnarTrace | TraceFile",
 ) -> AttributionResult:
-    """Vectorised twin of :func:`attribute_samples` (bit-for-bit).
+    """Vectorised twin of :func:`repro._oracles.attribute_samples`
+    (bit-for-bit).
 
     Accepts a columnar trace directly (the fast path: no per-event
     Python objects exist at any point) or a row-oriented

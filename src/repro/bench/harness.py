@@ -27,10 +27,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.attribution import attribute_samples
 from repro.analysis.objects import ObjectKey, ObjectKind
 from repro.analysis.profile import ObjectProfile, ProfileSet
 from repro.analysis.vectorattr import attribute_samples_vector
+from repro._oracles import (
+    access_stream_reference,
+    attribute_samples,
+    feed_reference,
+    make_scoring_workload,
+    predict_share_reference,
+    sample_reference,
+    windowed_cost_reference,
+)
 from repro.advisor.report import PlacementEntry, PlacementReport
 from repro.apps.cgpop import CGPOP
 from repro.bench.scenarios import make_attribution_trace, make_stream
@@ -179,7 +187,7 @@ def _bench_setassoc(
     addrs = make_stream(scenario, n, seed)
     ref = SetAssociativeCache(_LLC_CAPACITY, 64, _LLC_WAYS)
     ref_seconds, ref_hits = _time(
-        lambda: ref.access_stream_reference(addrs), 1
+        lambda: access_stream_reference(ref, addrs), 1
     )
     vec_seconds, vec_hits = _time(
         lambda: VectorSetAssociativeCache(
@@ -213,7 +221,7 @@ def _bench_directmap(
     addrs = make_stream(scenario, n, seed)
     ref = SetAssociativeCache(_LLC_CAPACITY, 64, ways=1)
     ref_seconds, ref_hits = _time(
-        lambda: ref.access_stream_reference(addrs), 1
+        lambda: access_stream_reference(ref, addrs), 1
     )
     vec_seconds, vec_hits = _time(
         lambda: DirectMappedCache(_LLC_CAPACITY, 64).access_stream(addrs),
@@ -249,7 +257,7 @@ def _bench_hierarchy(
 
     addrs = make_stream(scenario, n, seed)
     ref_seconds, ref_miss = _time(
-        lambda: CacheHierarchy(**specs()).feed_reference(addrs), 1
+        lambda: feed_reference(CacheHierarchy(**specs()), addrs), 1
     )
     vec_seconds, vec_miss = _time(
         lambda: CacheHierarchy(**specs()).feed(addrs), repeats
@@ -272,20 +280,6 @@ def _bench_hierarchy(
     )
 
 
-def _sample_reference(
-    period: int, addresses: np.ndarray
-) -> list[int]:
-    """Per-event countdown loop — the sampler's scalar oracle."""
-    countdown = period
-    picks = []
-    for i in range(addresses.size):
-        countdown -= 1
-        if countdown == 0:
-            picks.append(i)
-            countdown = period
-    return picks
-
-
 def _bench_pebs(
     report: BenchReport, scenario: str, n: int, seed: int, repeats: int
 ) -> None:
@@ -293,7 +287,7 @@ def _bench_pebs(
     addrs = make_stream(scenario, n, seed)
     times = np.arange(n, dtype=float)
     ref_seconds, ref_picks = _time(
-        lambda: _sample_reference(period, addrs), 1
+        lambda: sample_reference(period, addrs), 1
     )
     vec_seconds, vec_picks = _time(
         lambda: PebsSampler(period=period).sample_positions(n), repeats
@@ -355,22 +349,6 @@ def _synthetic_profiles(
     return profiles, report
 
 
-def _predict_share_reference(
-    profiles: ProfileSet, report: PlacementReport
-) -> float:
-    """Scalar replay: the loop the vectorised predictor replaced."""
-    fraction_by_key = {
-        e.key.identity: e.fraction
-        for e in report.entries
-        if e.key.kind == ObjectKind.DYNAMIC
-    }
-    promoted = sum(
-        p.sampled_misses * fraction_by_key.get(p.key.identity, 0.0)
-        for p in profiles.dynamic_profiles
-    )
-    return promoted / profiles.total_samples
-
-
 def _bench_replay(
     report: BenchReport, n_objects: int, seed: int, repeats: int
 ) -> None:
@@ -383,7 +361,7 @@ def _bench_replay(
         ),
     )
     ref_seconds, ref_share = _time(
-        lambda: _predict_share_reference(profiles, placement), 1
+        lambda: predict_share_reference(profiles, placement), 1
     )
     vec_seconds, outcome = _time(
         lambda: predictor.predict(profiles, placement), repeats
@@ -489,92 +467,6 @@ def _bench_online_readvise(
     )
 
 
-def _windowed_cost_reference(app, machine, profiling, schedule):
-    """The pre-bisect ``windowed_cost``: O(windows x schedule) linear
-    rescans. Kept verbatim as the oracle the bisect path must match
-    bit-for-bit (same accumulation order, so equality is exact)."""
-    from repro.machine.performance import ExecutionModel, PlacedTraffic
-    from repro.placement.policies import _total_traffic_bytes
-
-    truth = profiling.ground_truth
-    total = _total_traffic_bytes(app, machine)
-    cal = app.calibration
-    lookup = sorted(schedule)
-    fast = 0.0
-    if truth.total_misses > 0:
-        for window in truth.windows:
-            misses = window.total_misses
-            if misses == 0:
-                continue
-            midpoint = (window.t0 + window.t1) / 2.0
-            active = frozenset()
-            for t0, _, sites in lookup:
-                if t0 <= midpoint:
-                    active = sites
-                else:
-                    break
-            fast_misses = sum(
-                count
-                for site, count in window.misses_by_site.items()
-                if site in active
-            )
-            fast += total * (misses / truth.total_misses) * (fast_misses / misses)
-    traffic = PlacedTraffic(
-        by_tier={
-            machine.fast_tier.name: fast,
-            machine.slow_tier.name: total - fast,
-        }
-    )
-    return ExecutionModel(machine).cost(
-        traffic, compute_time=cal.compute_time, work=cal.work
-    )
-
-
-def _make_scoring_workload(n_windows: int, n_entries: int, seed: int):
-    """Synthetic truth timeline + placement schedule for the scorer."""
-    from types import SimpleNamespace
-
-    from repro.apps.base import WindowTruth
-    from repro.apps.registry import get_app
-
-    rng = np.random.default_rng(seed)
-    app = get_app("phaseshift")
-    horizon = app.calibration.ddr_time
-    site_pool = [o.name for o in app.objects if not o.static]
-    edges = np.linspace(0.0, horizon, n_windows + 1)
-    windows = [
-        WindowTruth(
-            t0=float(edges[i]),
-            t1=float(edges[i + 1]),
-            misses_by_site={
-                site: int(count)
-                for site, count in zip(
-                    site_pool,
-                    rng.integers(0, 500, size=len(site_pool)),
-                )
-            },
-        )
-        for i in range(n_windows)
-    ]
-    total = sum(w.total_misses for w in windows)
-    truth = SimpleNamespace(windows=windows, total_misses=total)
-    starts = np.sort(
-        rng.uniform(0.0, horizon, size=n_entries - 1)
-    )
-    schedule = [(0.0, float(starts[0]), frozenset(site_pool[:1]))]
-    for i, t0 in enumerate(starts):
-        t1 = float(starts[i + 1]) if i + 1 < starts.size else horizon
-        picks = rng.choice(
-            len(site_pool),
-            size=int(rng.integers(0, len(site_pool) + 1)),
-            replace=False,
-        )
-        schedule.append(
-            (float(t0), t1, frozenset(site_pool[int(p)] for p in picks))
-        )
-    return app, SimpleNamespace(ground_truth=truth), schedule
-
-
 def _bench_windowed_scoring(
     report: BenchReport, n_windows: int, seed: int, repeats: int
 ) -> None:
@@ -587,12 +479,12 @@ def _bench_windowed_scoring(
     from repro.online.scoring import windowed_cost
 
     n_entries = max(8, n_windows // 4)
-    app, profiling, schedule = _make_scoring_workload(
+    app, profiling, schedule = make_scoring_workload(
         n_windows, n_entries, seed
     )
     machine = xeon_phi_7250()
     ref_seconds, ref_cost = _time(
-        lambda: _windowed_cost_reference(app, machine, profiling, schedule),
+        lambda: windowed_cost_reference(app, machine, profiling, schedule),
         1,
     )
     vec_seconds, vec_cost = _time(

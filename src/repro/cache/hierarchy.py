@@ -8,7 +8,7 @@ the LLC miss stream is what the PEBS sampler draws from.
 Both levels keep full set-associative LRU semantics (KNL's L2 is
 16-way) but stream through the vectorised LRU kernel, so feeding a
 multi-million-access stream costs NumPy time, not Python time;
-:meth:`CacheHierarchy.feed_reference` preserves the per-access cascade
+:func:`repro._oracles.feed_reference` keeps the per-access cascade
 as the oracle.
 """
 
@@ -85,18 +85,6 @@ class CacheHierarchy:
             return np.zeros(0, dtype=np.int64)
         llc_hits = self.llc.access_stream(addresses[l1_miss_positions])
         return l1_miss_positions[~llc_hits]
-
-    def feed_reference(self, addresses: np.ndarray) -> np.ndarray:
-        """Per-access cascade — the oracle :meth:`feed` is tested
-        against, and the baseline ``repro-bench`` measures from."""
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        llc_miss_positions: list[int] = []
-        for i, addr in enumerate(addresses.tolist()):
-            if self.l1.access(addr):
-                continue
-            if not self.llc.access(addr):
-                llc_miss_positions.append(i)
-        return np.asarray(llc_miss_positions, dtype=np.int64)
 
     @property
     def l1_stats(self) -> CacheStats:

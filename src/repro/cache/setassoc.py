@@ -11,9 +11,8 @@ direct-mapped model).
 kernel (exporting the per-set LRU lists into the kernel's dense state
 matrix and importing the result back), so bulk callers get NumPy
 throughput while :meth:`SetAssociativeCache.access` stays the
-per-access oracle. :meth:`SetAssociativeCache.access_stream_reference`
-keeps the pure per-access stream path for property tests and the
-benchmark baseline.
+per-access oracle (:func:`repro._oracles.access_stream_reference`
+streams through it for property tests and the benchmark baseline).
 """
 
 from __future__ import annotations
@@ -119,32 +118,6 @@ class SetAssociativeCache:
         self.stats.misses += kernel.stats.misses
         self.stats.evictions += kernel.stats.evictions
         return hits
-
-    def access_stream_reference(
-        self, addresses: Iterable[int] | np.ndarray
-    ) -> np.ndarray:
-        """Per-access stream path — the oracle the kernels are tested
-        against, and the baseline ``repro-bench`` measures speedups
-        from. Accepts any iterable without materialising intermediate
-        lists.
-        """
-        if isinstance(addresses, np.ndarray):
-            if addresses.ndim != 1:
-                raise ValueError(
-                    f"addresses must be 1-D, got shape {addresses.shape}"
-                )
-            return np.fromiter(
-                (self.access(int(a)) for a in addresses),
-                dtype=bool,
-                count=addresses.size,
-            )
-        try:
-            count = len(addresses)  # type: ignore[arg-type]
-        except TypeError:
-            return np.array([self.access(int(a)) for a in addresses], dtype=bool)
-        return np.fromiter(
-            (self.access(int(a)) for a in addresses), dtype=bool, count=count
-        )
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no update)."""

@@ -11,7 +11,6 @@ from repro.advisor.report import PlacementReport
 from repro.advisor.strategies import STRATEGY_NAMES, get_strategy
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.paramedir import (
-    ENGINES,
     Paramedir,
     read_profiles_csv,
     write_profiles_csv,
@@ -147,10 +146,6 @@ def analyze_main(argv: list[str] | None = None) -> int:
                         help="recover every intact record from a "
                         "damaged trace instead of failing on the "
                         "first corrupt line")
-    parser.add_argument("--engine", choices=ENGINES, default="vector",
-                        help="attribution engine: the vectorised "
-                        "columnar kernel (default) or the per-event "
-                        "replay oracle it is proven against")
 
     def run(args) -> None:
         trace = load_any_trace(args.trace, salvage=args.salvage)
@@ -176,7 +171,7 @@ def analyze_main(argv: list[str] | None = None) -> int:
                 top_n=base.top_n,
                 include_statics=base.include_statics,
             )
-        profiles = Paramedir(config, engine=args.engine).analyze(trace)
+        profiles = Paramedir(config).analyze(trace)
         write_profiles_csv(profiles, args.output)
         table = AsciiTable(["object", "misses", "est. misses", "size MB",
                             "density"])

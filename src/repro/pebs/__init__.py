@@ -1,6 +1,5 @@
 """PEBS substitute: hardware-style sampling of LLC misses."""
 
-from repro.pebs.event import MemorySample
 from repro.pebs.sampler import PebsSampler
 
-__all__ = ["MemorySample", "PebsSampler"]
+__all__ = ["PebsSampler"]

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pebs.event import MemorySample
-
 
 @dataclass
 class PebsSampler:
@@ -78,9 +76,9 @@ class PebsSampler:
         """Feed a chunk of misses; returns the sampled columns as
         arrays ``(addresses, times, latencies-or-None)``.
 
-        The array-in/array-out twin of :meth:`sample_chunk` — the whole
-        attribution path (sampler -> tracer -> trace) can stay in NumPy
-        and only materialise event objects for the sparse picks.
+        ``latencies`` (cycles per miss) is optional — pass it when the
+        modelled PMU is a Xeon-style one that reports access cost. The
+        whole path (sampler -> tracer -> trace) stays in NumPy.
         """
         addresses = np.asarray(addresses)
         if addresses.ndim != 1:
@@ -100,30 +98,6 @@ class PebsSampler:
             times[picks],
             latencies[picks] if latencies is not None else None,
         )
-
-    def sample_chunk(
-        self,
-        addresses: np.ndarray,
-        times: np.ndarray,
-        latencies: np.ndarray | None = None,
-    ) -> list[MemorySample]:
-        """Feed a chunk of misses; returns the samples it produced.
-
-        ``latencies`` (cycles per miss) is optional — pass it when the
-        modelled PMU is a Xeon-style one that reports access cost.
-        """
-        picked_addrs, picked_times, picked_lats = self.sample_chunk_arrays(
-            addresses, times, latencies
-        )
-        if picked_lats is None:
-            return [
-                MemorySample(time=float(t), address=int(a))
-                for a, t in zip(picked_addrs, picked_times)
-            ]
-        return [
-            MemorySample(time=float(t), address=int(a), latency_cycles=int(c))
-            for a, t, c in zip(picked_addrs, picked_times, picked_lats)
-        ]
 
     @property
     def effective_rate(self) -> float:

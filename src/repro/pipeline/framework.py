@@ -22,10 +22,9 @@ from repro.advisor.advisor import HmemAdvisor
 from repro.advisor.report import PlacementReport
 from repro.advisor.spec import MemorySpec, TierSpec
 from repro.advisor.strategies import SelectionStrategy, get_strategy
-from repro.analysis.paramedir import ENGINES, Paramedir
+from repro.analysis.paramedir import Paramedir
 from repro.analysis.profile import ProfileSet
 from repro.apps.base import ProfilingRun, SimApplication
-from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig, xeon_phi_7250
@@ -55,7 +54,6 @@ class HybridMemoryFramework:
         seed: int = 0,
         metrics: StageMetrics | None = None,
         fault_plan: FaultPlan | None = None,
-        analysis_engine: str = "vector",
     ) -> None:
         self.app = app
         self.machine = machine or xeon_phi_7250()
@@ -63,14 +61,6 @@ class HybridMemoryFramework:
             sampling_period=app.sampling_period
         )
         self.seed = seed
-        #: Attribution engine for the analyze stage ("vector" fast
-        #: path by default, "oracle" per-event replay fallback).
-        if analysis_engine not in ENGINES:
-            raise ConfigError(
-                f"unknown attribution engine {analysis_engine!r}; "
-                f"have {ENGINES}"
-            )
-        self.analysis_engine = analysis_engine
         #: Active degradation schedule (None: clean run). Sample
         #: drop/corruption lands on the profile stage's trace; replay
         #: faults flow through to the placement runners.
@@ -93,7 +83,6 @@ class HybridMemoryFramework:
         seed: int = 0,
         metrics: StageMetrics | None = None,
         fault_plan: FaultPlan | None = None,
-        analysis_engine: str = "vector",
     ) -> "HybridMemoryFramework":
         """Build a framework around an already-profiled shared trace.
 
@@ -113,7 +102,6 @@ class HybridMemoryFramework:
             seed=seed,
             metrics=metrics,
             fault_plan=fault_plan,
-            analysis_engine=analysis_engine,
         )
         framework._profiling = ProfilingRun(
             trace=shared.trace,
@@ -152,9 +140,7 @@ class HybridMemoryFramework:
         if self._profiles is None or force:
             run = self.profile()
             with self.metrics.record("analyze"):
-                self._profiles = Paramedir(
-                    engine=self.analysis_engine
-                ).analyze(run.trace)
+                self._profiles = Paramedir().analyze(run.trace)
         return self._profiles
 
     # -- step 3 ---------------------------------------------------------

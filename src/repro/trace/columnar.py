@@ -14,9 +14,11 @@ a handful of dense arrays the vectorised attribution kernel
 (:mod:`repro.analysis.vectorattr`) consumes without any per-event
 Python work.
 
-Round-trips are lossless in both directions
-(:meth:`ColumnarTrace.from_tracefile` / :meth:`to_tracefile`), so the
-columnar form is a *view* discipline, not a fork of the format.
+The tracer (:mod:`repro.trace.tracer`) writes this form directly, and
+profiling and analysis use no other. Round-trips with the row form are
+lossless in both directions (:meth:`ColumnarTrace.from_tracefile` /
+:meth:`to_tracefile`); :class:`TraceFile` remains as the JSONL codec
+and as the input of the per-event oracles.
 
 On disk the trace has two containers with identical information and
 identical validation. The default is one ``.npz`` member archive: the
@@ -92,7 +94,7 @@ _CORE_COLUMNS = (
 EVENT_COLUMNS = (*_CORE_COLUMNS, "latencies")
 _STATIC_COLUMNS = ("static_ranks", "static_addresses", "static_sizes")
 
-_COLUMN_DTYPES = {
+COLUMN_DTYPES = {
     "times": np.float64,
     "kinds": np.uint8,
     "event_ranks": np.int32,
@@ -108,7 +110,7 @@ _COLUMN_DTYPES = {
 
 
 def _empty(name: str) -> np.ndarray:
-    return np.empty(0, dtype=_COLUMN_DTYPES[name])
+    return np.empty(0, dtype=COLUMN_DTYPES[name])
 
 
 @dataclass
@@ -350,7 +352,6 @@ class ColumnarTrace:
                 )
             else:
                 raise TraceError(f"unknown event kind code {kind}")
-        trace.invalidate_caches()
         return trace
 
     # -- persistence ---------------------------------------------------------
@@ -388,25 +389,36 @@ class ColumnarTrace:
             "static_sizes": self.static_sizes,
         }
 
-    def to_bytes(self) -> bytes:
-        """The full ``.npz`` payload (columns + header + manifest)."""
-        members: dict[str, np.ndarray] = dict(self._columns())
+    def _encode(self) -> tuple[dict[str, np.ndarray], bytes, bytes]:
+        """What both containers write: the columns, the JSON header
+        and the manifest holding a CRC-32 of every column and of the
+        header."""
+        columns = self._columns()
         header = json.dumps(
             self._header_dict(), sort_keys=True, separators=(",", ":")
         ).encode()
-        members["header"] = np.frombuffer(header, dtype=np.uint8)
         crcs = {
             name: zlib.crc32(np.ascontiguousarray(arr).tobytes())
-            for name, arr in members.items()
+            for name, arr in columns.items()
         }
+        crcs["header"] = zlib.crc32(header)
         manifest = json.dumps(
             {"schema": _SCHEMA, "crc": crcs},
             sort_keys=True,
             separators=(",", ":"),
         ).encode()
-        members["manifest"] = np.frombuffer(manifest, dtype=np.uint8)
+        return columns, header, manifest
+
+    def to_bytes(self) -> bytes:
+        """The full ``.npz`` payload (columns + header + manifest)."""
+        columns, header, manifest = self._encode()
         buf = io.BytesIO()
-        np.savez(buf, **members)
+        np.savez(
+            buf,
+            **columns,
+            header=np.frombuffer(header, dtype=np.uint8),
+            manifest=np.frombuffer(manifest, dtype=np.uint8),
+        )
         return buf.getvalue()
 
     def save(self, path: str | Path) -> None:
@@ -427,20 +439,7 @@ class ColumnarTrace:
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        header = json.dumps(
-            self._header_dict(), sort_keys=True, separators=(",", ":")
-        ).encode()
-        columns = self._columns()
-        crcs = {
-            name: zlib.crc32(np.ascontiguousarray(arr).tobytes())
-            for name, arr in columns.items()
-        }
-        crcs["header"] = zlib.crc32(header)
-        manifest = json.dumps(
-            {"schema": _SCHEMA, "crc": crcs},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
+        columns, header, manifest = self._encode()
         for name, arr in columns.items():
             buf = io.BytesIO()
             np.save(buf, np.ascontiguousarray(arr))
@@ -493,7 +492,7 @@ class ColumnarTrace:
         simply absent — the shared validation body then applies the
         identical strict/salvage rules for both containers."""
         members: dict[str, np.ndarray] = {}
-        for name in _COLUMN_DTYPES:
+        for name in COLUMN_DTYPES:
             member = path / f"{name}.npy"
             try:
                 members[name] = np.load(
@@ -598,16 +597,6 @@ class ColumnarTrace:
         n_events = int(header.get("n_events", 0))
         n_statics = int(header.get("n_statics", 0))
 
-        callstacks = tuple(
-            CallStack(
-                frames=tuple(
-                    Frame(module=m, function=fn, file=fi, line=ln)
-                    for m, fn, fi, ln in frames
-                )
-            )
-            for frames in header.get("callstacks", [])
-        )
-
         columns: dict[str, np.ndarray] = {}
         events_lost = False
         for name in _CORE_COLUMNS:
@@ -621,9 +610,8 @@ class ColumnarTrace:
             if arr is None:
                 events_lost = True
             else:
-                columns[name] = arr.astype(_COLUMN_DTYPES[name], copy=False)
+                columns[name] = arr.astype(COLUMN_DTYPES[name], copy=False)
         latencies = intact("latencies")
-        latency_lost = False
         if latencies is not None and latencies.shape != (n_events,):
             damaged_member(
                 "latencies",
@@ -631,7 +619,6 @@ class ColumnarTrace:
             )
             latencies = None
         if latencies is None:
-            latency_lost = True
             latencies = np.full(n_events, NO_LATENCY, dtype=np.int64)
         if events_lost:
             # Salvage mode: drop every event, keep what the header and
@@ -654,44 +641,25 @@ class ColumnarTrace:
                 statics_lost = True
             else:
                 static_cols[name] = arr.astype(
-                    _COLUMN_DTYPES[name], copy=False
+                    COLUMN_DTYPES[name], copy=False
                 )
-        static_names = tuple(header.get("static_names", []))
         if statics_lost:
-            static_names = ()
+            header = {**header, "static_names": []}
             static_cols = {name: _empty(name) for name in _STATIC_COLUMNS}
 
-        trace = cls(
-            application=header.get("application", ""),
-            ranks=int(header.get("ranks", 1)),
-            sampling_period=int(header.get("sampling_period", 1)),
-            metadata=header.get("metadata", {}),
-            times=columns["times"],
-            kinds=columns["kinds"],
-            event_ranks=columns["event_ranks"],
-            addresses=columns["addresses"],
-            sizes=columns["sizes"],
-            latencies=latencies.astype(np.int64, copy=False),
-            aux=columns["aux"],
-            allocator_ids=columns["allocator_ids"],
-            callstacks=callstacks,
-            functions=tuple(header.get("functions", [])),
-            allocators=tuple(header.get("allocators", [])),
-            static_names=static_names,
-            static_ranks=static_cols["static_ranks"],
-            static_addresses=static_cols["static_addresses"],
-            static_sizes=static_cols["static_sizes"],
+        trace = cls.from_header_and_columns(
+            header,
+            {
+                **columns,
+                **static_cols,
+                "latencies": latencies.astype(np.int64, copy=False),
+            },
         )
         if salvage:
-            lost = 0
-            if events_lost:
-                lost += int(header.get("n_events", 0))
-            elif latency_lost:
-                # Samples survive without their latency column; count
-                # nothing lost but keep the detail strings.
-                pass
-            if statics_lost:
-                lost += n_statics
+            # Samples that only lost their latency column count as kept.
+            lost = (int(header.get("n_events", 0)) if events_lost else 0) + (
+                n_statics if statics_lost else 0
+            )
             trace.salvage = SalvageReport(
                 recovered_records=trace.n_events + trace.n_statics,
                 damaged_lines=len(damage),

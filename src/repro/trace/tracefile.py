@@ -95,45 +95,11 @@ class TraceFile:
     salvage: SalvageReport | None = field(
         default=None, compare=False, repr=False
     )
-    #: Cached time-sorted view (plus the event count it was built at,
-    #: so direct ``trace.events`` appends are caught too).
-    _sorted_cache: list[TraceEvent] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _sorted_cache_len: int = field(
-        default=-1, init=False, compare=False, repr=False
-    )
-
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
-        self.invalidate_caches()
 
     def extend(self, events: list[TraceEvent]) -> None:
         self.events.extend(events)
-        self.invalidate_caches()
-
-    def invalidate_caches(self) -> None:
-        """Drop derived views after mutating :attr:`events` directly."""
-        self._sorted_cache = None
-        self._sorted_cache_len = -1
-
-    def sorted_events(self) -> list[TraceEvent]:
-        """Events in time order (stable for equal timestamps).
-
-        Cached between calls; :meth:`append`/:meth:`extend` (or any
-        mutation that changes the event count) invalidate the cache.
-        The returned list is shared — treat it as read-only.
-        """
-        if (
-            self._sorted_cache is None
-            or self._sorted_cache_len != len(self.events)
-        ):
-            self._sorted_cache = sorted(self.events, key=lambda e: e.time)
-            self._sorted_cache_len = len(self.events)
-        return self._sorted_cache
-
-    def iter_type(self, event_type: type) -> Iterator[TraceEvent]:
-        return (e for e in self.events if isinstance(e, event_type))
 
     @property
     def alloc_events(self) -> list[AllocEvent]:

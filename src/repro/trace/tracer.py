@@ -10,9 +10,11 @@ references for the LLC misses". The tracer therefore:
 * filters allocations below a minimum size (the paper monitors only
   allocations larger than 4 KiB "to avoid small (and possibly
   frequent) allocations such as those related to I/O");
-* owns the PEBS sampler and folds its samples into the trace as
-  NumPy columns (the sparse allocation/phase records are the only
-  per-event objects it builds);
+* owns the PEBS sampler and writes the whole trace as NumPy columns:
+  the sparse allocation/free/phase records go to per-field lists,
+  with call-stacks, functions and allocators interned as they arrive,
+  and the sampler's picks stay arrays, so no per-event object is
+  ever built;
 * records phase (function) markers for the Folding analysis;
 * accounts its own monitoring overhead so Table I's overhead column
   can be reproduced.
@@ -21,23 +23,43 @@ references for the LLC misses". The tracer therefore:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.pebs.sampler import PebsSampler
 from repro.runtime.allocator import Allocation
+from repro.runtime.callstack import CallStack
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import translate_cost_us, unwind_cost_us
-from repro.trace.columnar import KIND_SAMPLE, NO_LATENCY, ColumnarTrace
-from repro.trace.events import (
-    AllocEvent,
-    FreeEvent,
-    PhaseEvent,
-    StaticVarRecord,
+from repro.trace.columnar import (
+    COLUMN_DTYPES,
+    EVENT_COLUMNS,
+    KIND_ALLOC,
+    KIND_FREE,
+    KIND_PHASE,
+    KIND_SAMPLE,
+    NO_LATENCY,
+    ColumnarTrace,
 )
-from repro.trace.tracefile import TraceFile
 from repro.units import KIB, MICROSECOND
+
+#: Columns a sparse record sets; its rank and (absent) latency come
+#: from :data:`_FILL`.
+_RECORD_COLUMNS = (
+    "times", "kinds", "addresses", "sizes", "aux", "allocator_ids"
+)
+
+#: Value of a column over a chunk that does not carry it: what a
+#: sample has no use for, and the latency of records (and of samples
+#: from a PMU that reports none).
+_FILL = {
+    "kinds": KIND_SAMPLE,
+    "sizes": 0,
+    "latencies": NO_LATENCY,
+    "aux": -1,
+    "allocator_ids": -1,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +92,8 @@ class Tracer:
         rank: int = 0,
     ) -> None:
         self.config = config or TracerConfig()
+        self.application = application
         self.rank = rank
-        #: The sparse records (alloc/free/phase, statics, metadata);
-        #: samples never become row events here.
-        self.trace = TraceFile(
-            application=application,
-            ranks=1,
-            sampling_period=self.config.sampling_period,
-        )
         self.sampler = PebsSampler(
             period=self.config.sampling_period,
             phase=rank % self.config.sampling_period,
@@ -85,13 +101,20 @@ class Tracer:
         self._process: SimProcess | None = None
         #: Seconds of perturbation the tracer added (Table I overhead).
         self.overhead_seconds = 0.0
-        #: Picked samples per fed chunk: (records traced before it,
-        #: addresses, times, latencies-or-None).
-        self._sample_chunks: list[
-            tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
-        ] = []
-        #: Last merge and the (records, chunks) counts it covered.
-        self._merged: tuple[tuple[int, int], ColumnarTrace] | None = None
+        self._metadata: dict = {}
+        #: The static-variable columns, fixed at attach time.
+        self._statics: dict = {}
+        #: Interned side tables, in first-seen order.
+        self._callstack_ids: dict[CallStack, int] = {}
+        self._function_ids: dict[str, int] = {}
+        self._allocator_ids: dict[str, int] = {}
+        #: Sparse records not yet flushed, one list per record column.
+        self._records: tuple[list, ...] = tuple([] for _ in _RECORD_COLUMNS)
+        #: Column chunks in recording order, each a dict of the columns
+        #: it carries; the others take their :data:`_FILL` value.
+        self._chunks: list[dict[str, np.ndarray]] = []
+        #: The last merge, until something new is recorded.
+        self._merged: ColumnarTrace | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -101,16 +124,41 @@ class Tracer:
         # columns are freed at once rather than at the next collection.
         self._process = weakref.proxy(process)
         process.add_observer(self)
-        self.trace.metadata["stack_region"] = [
+        self._metadata["stack_region"] = [
             process.stack_region.base,
             process.stack_region.size,
         ]
-        for name, region in process.statics.items():
-            self.trace.statics.append(
-                StaticVarRecord(
-                    name=name, rank=self.rank, address=region.base, size=region.size
-                )
-            )
+        regions = process.statics
+        self._statics = {
+            "static_names": tuple(regions),
+            "static_ranks": np.full(
+                len(regions), self.rank, dtype=COLUMN_DTYPES["static_ranks"]
+            ),
+            "static_addresses": np.array(
+                [region.base for region in regions.values()],
+                dtype=COLUMN_DTYPES["static_addresses"],
+            ),
+            "static_sizes": np.array(
+                [region.size for region in regions.values()],
+                dtype=COLUMN_DTYPES["static_sizes"],
+            ),
+        }
+
+    def _record(self, *values) -> None:
+        """Append one sparse record (the :data:`_RECORD_COLUMNS`)."""
+        for column, value in zip(self._records, values):
+            column.append(value)
+        self._merged = None
+
+    def _flush_records(self) -> None:
+        """Close the pending records into a column chunk."""
+        if self._records[0]:
+            self._chunks.append({
+                name: np.array(values, dtype=COLUMN_DTYPES[name])
+                for name, values in zip(_RECORD_COLUMNS, self._records)
+            })
+            for values in self._records:
+                values.clear()
 
     # -- AllocObserver -------------------------------------------------------
 
@@ -125,24 +173,21 @@ class Tracer:
             + translate_cost_us(depth)
             + self.config.record_cost_us
         ) * MICROSECOND
-        self.trace.append(
-            AllocEvent(
-                time=clock,
-                rank=self.rank,
-                address=alloc.address,
-                size=alloc.size,
-                callstack=callstack,
-                allocator=alloc.allocator,
-            )
+        callstacks, allocators = self._callstack_ids, self._allocator_ids
+        self._record(
+            clock,
+            KIND_ALLOC,
+            alloc.address,
+            alloc.size,
+            callstacks.setdefault(callstack, len(callstacks)),
+            allocators.setdefault(alloc.allocator, len(allocators)),
         )
 
     def on_free(self, alloc: Allocation, clock: float) -> None:
         if alloc.size < self.config.min_alloc_size:
             return
         self.overhead_seconds += self.config.record_cost_us * MICROSECOND
-        self.trace.append(
-            FreeEvent(time=clock, rank=self.rank, address=alloc.address)
-        )
+        self._record(clock, KIND_FREE, alloc.address, 0, -1, -1)
 
     # -- sampling ------------------------------------------------------------
 
@@ -155,8 +200,8 @@ class Tracer:
         """Feed a chunk of LLC misses through the PEBS sampler.
 
         Returns the number of samples folded into the trace. The picks
-        stay NumPy columns, buffered beside the count of records traced
-        so far; no per-sample Python object is ever built.
+        stay NumPy columns, kept as one chunk after the records traced
+        before them; no per-sample Python object is ever built.
         ``latencies`` is only stored when the tracer is configured for
         a latency-reporting PMU.
         """
@@ -167,10 +212,12 @@ class Tracer:
         )
         n_picked = int(picked_addrs.size)
         if n_picked:
-            self._sample_chunks.append(
-                (len(self.trace.events), picked_addrs, picked_times,
-                 picked_lats)
-            )
+            self._flush_records()
+            chunk = {"addresses": picked_addrs, "times": picked_times}
+            if picked_lats is not None:
+                chunk["latencies"] = picked_lats
+            self._chunks.append(chunk)
+            self._merged = None
         self.overhead_seconds += (
             n_picked * self.config.sample_cost_us * MICROSECOND
         )
@@ -178,77 +225,51 @@ class Tracer:
 
     def record_phase(self, function: str, clock: float) -> None:
         """Mark entry into a code phase (for the Folding analysis)."""
-        self.trace.append(
-            PhaseEvent(time=clock, rank=self.rank, function=function)
+        functions = self._function_ids
+        self._record(
+            clock,
+            KIND_PHASE,
+            0,
+            0,
+            functions.setdefault(function, len(functions)),
+            -1,
         )
 
     def columnar_trace(self) -> ColumnarTrace:
         """Everything traced so far as one :class:`ColumnarTrace`.
 
-        Rows are in recording order — each sample chunk sits after the
-        records traced before it — so the result equals columnarising
+        Rows are in recording order, so the result equals columnarising
         the same run traced event by event. Every column is allocated
-        once at its final length and filled in place; the buffered
-        chunks then become views into the merged columns, so the
-        tracer keeps no second copy of its samples. Repeated calls
-        return the same trace until something new is recorded.
+        once at its final length and filled chunk by chunk; the merged
+        columns then replace the chunks, so the tracer keeps no second
+        copy of its samples. Repeated calls return the same trace until
+        something new is recorded.
         """
-        key = (len(self.trace.events), len(self._sample_chunks))
-        if self._merged is not None and self._merged[0] == key:
-            return self._merged[1]
-        base = ColumnarTrace.from_tracefile(self.trace)
-        chunks = self._sample_chunks
-        if not chunks:
-            self._merged = (key, base)
-            return base
-        before = np.array([c[0] for c in chunks], dtype=np.int64)
-        counts = np.array([c[1].size for c in chunks], dtype=np.int64)
-        ends = np.cumsum(counts)
-        starts = before + ends - counts
-        # A record moves down by the samples of every chunk fed before it.
-        n_records = base.n_events
-        record_rows = np.arange(n_records) + np.concatenate(([0], ends))[
-            np.searchsorted(before, np.arange(n_records), side="right")
-        ]
-        n = n_records + int(ends[-1])
-
-        def column(records, fill=None, part=None):
-            out = (
-                np.empty(n, dtype=records.dtype)
-                if fill is None
-                else np.full(n, fill, dtype=records.dtype)
-            )
-            if part is not None:
-                for start, chunk in zip(starts.tolist(), chunks):
-                    if chunk[part] is not None:
-                        out[start:start + chunk[part].size] = chunk[part]
-            out[record_rows] = records
-            return out
-
-        merged = replace(
-            base,
-            times=column(base.times, part=2),
-            kinds=column(base.kinds, fill=KIND_SAMPLE),
-            event_ranks=column(base.event_ranks, fill=self.rank),
-            addresses=column(base.addresses, part=1),
-            sizes=column(base.sizes, fill=0),
-            latencies=column(base.latencies, fill=NO_LATENCY, part=3),
-            aux=column(base.aux, fill=-1),
-            allocator_ids=column(base.allocator_ids, fill=-1),
+        if self._merged is not None:
+            return self._merged
+        self._flush_records()
+        fill = {**_FILL, "event_ranks": self.rank}
+        sizes = [chunk["times"].size for chunk in self._chunks]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        columns = {}
+        for name in EVENT_COLUMNS:
+            out = np.empty(bounds[-1], dtype=COLUMN_DTYPES[name])
+            for start, stop, chunk in zip(bounds, bounds[1:], self._chunks):
+                out[start:stop] = chunk[name] if name in chunk else fill[name]
+            columns[name] = out
+        self._chunks = [columns]
+        self._merged = ColumnarTrace(
+            application=self.application,
+            ranks=1,
+            sampling_period=self.config.sampling_period,
+            metadata=dict(self._metadata),
+            **columns,
+            callstacks=tuple(self._callstack_ids),
+            functions=tuple(self._function_ids),
+            allocators=tuple(self._allocator_ids),
+            **self._statics,
         )
-        self._sample_chunks = [
-            (
-                chunk[0],
-                merged.addresses[start:start + chunk[1].size],
-                merged.times[start:start + chunk[1].size],
-                None
-                if chunk[3] is None
-                else merged.latencies[start:start + chunk[1].size],
-            )
-            for start, chunk in zip(starts.tolist(), chunks)
-        ]
-        self._merged = (key, merged)
-        return merged
+        return self._merged
 
     # -- summary -------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.attribution import attribute_samples, stack_region_of
+from repro._oracles import attribute_samples
+from repro.analysis.attribution import stack_region_of
 from repro.analysis.objects import ObjectKey
 from repro.runtime.callstack import CallStack, Frame
 from repro.trace.events import (

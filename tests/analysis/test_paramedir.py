@@ -2,16 +2,16 @@
 
 import pytest
 
+from repro._oracles import attribute_samples
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.objects import ObjectKey
 from repro.analysis.paramedir import (
-    ENGINES,
     Paramedir,
     read_profiles_csv,
     write_profiles_csv,
 )
 from repro.analysis.profile import ObjectProfile, ProfileSet
-from repro.errors import AttributionError, ConfigError
+from repro.errors import AttributionError
 from repro.runtime.callstack import CallStack, Frame
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import AllocEvent, SampleEvent
@@ -52,6 +52,28 @@ class TestAnalyze:
         assert profiles.profiles[0].key.label.startswith("hot")
 
 
+#: The two attribution engines: the vector kernel Paramedir runs, and
+#: the per-event replay in :mod:`repro._oracles` it is proven against.
+_KERNELS = ("vector", "oracle")
+
+
+def _analyze(engine, trace, config=None):
+    """Per-object profiles from one engine; the oracle attributes the
+    same narrowed trace Paramedir would."""
+    paramedir = Paramedir(config)
+    if engine == "vector":
+        return paramedir.analyze(trace)
+    if config is not None:
+        trace = paramedir._narrow(trace)
+    if isinstance(trace, ColumnarTrace):
+        trace = trace.to_tracefile()
+    return ProfileSet.from_attribution(
+        attribute_samples(trace),
+        sampling_period=trace.sampling_period,
+        application=trace.application,
+    )
+
+
 class TestEngines:
     def _trace(self):
         trace = TraceFile(application="demo", ranks=2, sampling_period=7)
@@ -64,34 +86,22 @@ class TestEngines:
 
     def test_vector_is_default_and_equals_oracle(self):
         trace = self._trace()
-        assert Paramedir().engine == "vector"
-        assert Paramedir().analyze(trace) == Paramedir(
-            engine="oracle"
-        ).analyze(trace)
+        assert Paramedir().analyze(trace) == _analyze("oracle", trace)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown attribution engine"):
-            Paramedir(engine="gpu")
-        assert ENGINES == ("vector", "oracle")
-
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", _KERNELS)
     def test_columnar_input_accepted(self, engine):
         trace = self._trace()
         cols = ColumnarTrace.from_tracefile(trace)
-        assert Paramedir(engine=engine).analyze(cols) == Paramedir(
-            engine=engine
-        ).analyze(trace)
+        assert _analyze(engine, cols) == _analyze(engine, trace)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", _KERNELS)
     def test_narrowing_agrees_across_forms(self, engine):
         """Config-driven sample narrowing (time window + ranks) must
         give one answer regardless of engine or trace form."""
         trace = self._trace()
         config = AnalysisConfig(time_window=(0.1, 0.5), ranks=[0])
-        want = Paramedir(config, engine="oracle").analyze(trace)
-        got = Paramedir(config, engine=engine).analyze(
-            ColumnarTrace.from_tracefile(trace)
-        )
+        want = _analyze("oracle", trace, config)
+        got = _analyze(engine, ColumnarTrace.from_tracefile(trace), config)
         assert got == want
         # Narrowing never filters allocations, only samples.
         assert {p.key for p in want} <= {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.attribution import attribute_samples
+from repro._oracles import attribute_samples
 from repro.analysis.objects import ObjectKey
 from repro.analysis.vectorattr import attribute_samples_vector
 from repro.runtime.callstack import CallStack, Frame

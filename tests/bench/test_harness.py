@@ -79,7 +79,7 @@ class TestAttributionScenario:
     def test_trace_is_attributable(self):
         """Replaying the workload must not trip the overlap/unknown-free
         guards — it is a *valid* allocation history by construction."""
-        from repro.analysis.attribution import attribute_samples
+        from repro._oracles import attribute_samples
 
         result = attribute_samples(make_attribution_trace(4000, seed=1))
         assert result.total_samples > 0

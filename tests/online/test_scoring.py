@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._oracles import make_scoring_workload, windowed_cost_reference
 from repro.apps.registry import get_app
-from repro.bench.harness import (
-    _make_scoring_workload,
-    _windowed_cost_reference,
-)
 from repro.errors import ConfigError
 from repro.machine.config import xeon_phi_7250
 from repro.online.scoring import windowed_cost
@@ -26,13 +23,13 @@ class TestBisectEquivalence:
         rng = np.random.default_rng(seed)
         n_windows = int(rng.integers(50, 400))
         n_entries = int(rng.integers(2, 64))
-        app, profiling, schedule = _make_scoring_workload(
+        app, profiling, schedule = make_scoring_workload(
             n_windows, n_entries, seed
         )
         machine = xeon_phi_7250()
         assert windowed_cost(
             app, machine, profiling, schedule
-        ) == _windowed_cost_reference(app, machine, profiling, schedule)
+        ) == windowed_cost_reference(app, machine, profiling, schedule)
 
     def test_real_framework_schedule_unchanged(self):
         """Online-daemon schedules start at t=0; the rewrite must not
@@ -41,7 +38,7 @@ class TestBisectEquivalence:
         sites = fw.placement_sites(32 * MIB)
         schedule = [(0.0, fw.app.calibration.ddr_time, sites)]
         cost = windowed_cost(fw.app, fw.machine, fw.profile(), schedule)
-        reference = _windowed_cost_reference(
+        reference = windowed_cost_reference(
             fw.app, fw.machine, fw.profile(), schedule
         )
         assert cost == reference
@@ -50,7 +47,7 @@ class TestBisectEquivalence:
 class TestColdStart:
     def _late_schedule(self, seed=0):
         """A schedule whose first entry starts after early windows."""
-        app, profiling, schedule = _make_scoring_workload(64, 8, seed)
+        app, profiling, schedule = make_scoring_workload(64, 8, seed)
         horizon = app.calibration.ddr_time
         late = [
             (t0 + horizon / 4.0, t1 + horizon / 4.0, sites)
@@ -79,7 +76,7 @@ class TestColdStart:
         cost = windowed_cost(
             app, machine, profiling, late, cold_start=True
         )
-        assert cost == _windowed_cost_reference(
+        assert cost == windowed_cost_reference(
             app, machine, profiling, late
         )
 
@@ -92,4 +89,4 @@ class TestColdStart:
             app, machine, profiling, [], cold_start=True
         )
         # Nothing ever placed fast: all traffic on the slow tier.
-        assert cost == _windowed_cost_reference(app, machine, profiling, [])
+        assert cost == windowed_cost_reference(app, machine, profiling, [])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._oracles import sample_reference
 from repro.pebs.sampler import PebsSampler
 
 
@@ -26,19 +27,21 @@ class TestValidation:
     def test_mismatched_lengths(self):
         s = PebsSampler(period=3)
         with pytest.raises(ValueError):
-            s.sample_chunk(np.zeros(3, np.uint64), np.zeros(2))
+            s.sample_chunk_arrays(np.zeros(3, np.uint64), np.zeros(2))
 
     def test_non_1d_addresses_rejected(self):
         # Regression: a (2, 3) address array used to be accepted and
         # sampled along flattened order silently.
         s = PebsSampler(period=3)
         with pytest.raises(ValueError, match="1-D"):
-            s.sample_chunk(np.zeros((2, 3), np.uint64), np.zeros((2, 3)))
+            s.sample_chunk_arrays(
+                np.zeros((2, 3), np.uint64), np.zeros((2, 3))
+            )
 
     def test_mismatched_latencies(self):
         s = PebsSampler(period=3)
         with pytest.raises(ValueError, match="latencies"):
-            s.sample_chunk(
+            s.sample_chunk_arrays(
                 np.zeros(3, np.uint64), np.zeros(3), np.zeros(2)
             )
 
@@ -52,31 +55,33 @@ class TestSampling:
     def test_every_period_th(self):
         s = PebsSampler(period=3)
         addrs, times = _chunk(9)
-        samples = s.sample_chunk(addrs, times)
-        assert [int(x.address) for x in samples] == [2 * 64, 5 * 64, 8 * 64]
+        picked, _, _ = s.sample_chunk_arrays(addrs, times)
+        assert picked.tolist() == [2 * 64, 5 * 64, 8 * 64]
 
     def test_period_one_samples_everything(self):
         s = PebsSampler(period=1)
-        samples = s.sample_chunk(*_chunk(5))
-        assert len(samples) == 5
+        picked, _, _ = s.sample_chunk_arrays(*_chunk(5))
+        assert picked.size == 5
 
     def test_phase_shifts_first_sample(self):
         s = PebsSampler(period=4, phase=2)
-        samples = s.sample_chunk(*_chunk(4))
-        assert int(samples[0].address) == 1 * 64
+        picked, _, _ = s.sample_chunk_arrays(*_chunk(4))
+        assert int(picked[0]) == 1 * 64
 
     def test_empty_chunk(self):
         s = PebsSampler(period=3)
-        assert s.sample_chunk(*_chunk(0)) == []
+        picked, times, latencies = s.sample_chunk_arrays(*_chunk(0))
+        assert picked.size == times.size == 0
+        assert latencies is None
 
     def test_times_carried_through(self):
         s = PebsSampler(period=2)
-        samples = s.sample_chunk(*_chunk(4, t0=10.0))
-        assert [x.time for x in samples] == [11.0, 13.0]
+        _, times, _ = s.sample_chunk_arrays(*_chunk(4, t0=10.0))
+        assert times.tolist() == [11.0, 13.0]
 
     def test_counters(self):
         s = PebsSampler(period=5)
-        s.sample_chunk(*_chunk(12))
+        s.sample_chunk_arrays(*_chunk(12))
         assert s.events_seen == 12
         assert s.samples_taken == 2
         assert s.effective_rate == pytest.approx(2 / 12)
@@ -95,14 +100,14 @@ class TestChunkBoundaries:
         total = sum(chunk_sizes)
         whole = PebsSampler(period=period)
         addrs, times = _chunk(total)
-        expected = [s.address for s in whole.sample_chunk(addrs, times)]
+        expected = whole.sample_chunk_arrays(addrs, times)[0].tolist()
 
         chunked = PebsSampler(period=period)
         got = []
         start = 0
         for size in chunk_sizes:
             a, t = addrs[start : start + size], times[start : start + size]
-            got.extend(s.address for s in chunked.sample_chunk(a, t))
+            got.extend(chunked.sample_chunk_arrays(a, t)[0].tolist())
             start += size
         assert got == expected
 
@@ -111,8 +116,8 @@ class TestChunkBoundaries:
     @settings(max_examples=80, deadline=None)
     def test_sample_count(self, period, n):
         s = PebsSampler(period=period)
-        samples = s.sample_chunk(*_chunk(n))
-        assert len(samples) == n // period
+        picked, _, _ = s.sample_chunk_arrays(*_chunk(n))
+        assert picked.size == n // period
 
     @given(
         st.integers(min_value=1, max_value=37),
@@ -144,14 +149,15 @@ class TestChunkBoundaries:
     @given(st.integers(min_value=1, max_value=23),
            st.integers(min_value=0, max_value=200))
     @settings(max_examples=60, deadline=None)
-    def test_arrays_match_objects(self, period, n):
-        """sample_chunk_arrays and sample_chunk pick identical events."""
+    def test_arrays_match_countdown_oracle(self, period, n):
+        """sample_chunk_arrays picks every column at the positions the
+        per-event countdown loop picks."""
         addrs, times = _chunk(n)
         lats = np.arange(n, dtype=np.int64) + 100
-        objs = PebsSampler(period=period).sample_chunk(addrs, times, lats)
+        picks = sample_reference(period, addrs)
         a, t, c = PebsSampler(period=period).sample_chunk_arrays(
             addrs, times, lats
         )
-        assert [s.address for s in objs] == [int(x) for x in a]
-        assert [s.time for s in objs] == [float(x) for x in t]
-        assert [s.latency_cycles for s in objs] == [int(x) for x in c]
+        assert a.tolist() == addrs[picks].tolist()
+        assert t.tolist() == times[picks].tolist()
+        assert c.tolist() == lats[picks].tolist()

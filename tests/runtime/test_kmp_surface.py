@@ -70,5 +70,6 @@ class TestKmpSurface:
         with process.in_function("app", "main", 1):
             address = process.kmp_malloc(64 * KIB)
         process.kmp_free(address)
-        assert len(tracer.trace.alloc_events) == 1
-        assert len(tracer.trace.free_events) == 1
+        rows = tracer.columnar_trace().to_tracefile()
+        assert len(rows.alloc_events) == 1
+        assert len(rows.free_events) == 1

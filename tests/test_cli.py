@@ -4,6 +4,9 @@ import argparse
 
 import pytest
 
+from repro._oracles import attribute_samples
+from repro.analysis.paramedir import write_profiles_csv
+from repro.analysis.profile import ProfileSet
 from repro.cli.main import (
     advise_main,
     analyze_main,
@@ -16,6 +19,7 @@ from repro.cli.main import (
 )
 from repro.faults.injector import damage_trace_file
 from repro.faults.plan import FaultPlan
+from repro.trace.tracefile import TraceFile
 from repro.units import GIB, KIB, MIB
 
 
@@ -70,8 +74,6 @@ class TestShellFlow:
         assert profile_main(
             ["minife", "-o", str(trace), "--latency", "--period", "9"]
         ) == 0
-        from repro.trace.tracefile import TraceFile
-
         loaded = TraceFile.load(trace)
         assert loaded.sampling_period == 9
         assert any(
@@ -130,24 +132,23 @@ class TestShellFlow:
 
 class TestColumnarFlow:
     def test_analyze_engines_agree(self, tmp_path):
+        """repro-analyze's CSV equals the one the per-event oracle's
+        attribution of the same trace writes."""
         trace = tmp_path / "app.trace"
         profile_main(["minife", "-o", str(trace)])
         vec_csv = tmp_path / "vec.csv"
         orc_csv = tmp_path / "orc.csv"
-        assert analyze_main(
-            [str(trace), "-o", str(vec_csv), "--engine", "vector"]
-        ) == 0
-        assert analyze_main(
-            [str(trace), "-o", str(orc_csv), "--engine", "oracle"]
-        ) == 0
+        assert analyze_main([str(trace), "-o", str(vec_csv)]) == 0
+        rows = TraceFile.load(trace)
+        write_profiles_csv(
+            ProfileSet.from_attribution(
+                attribute_samples(rows),
+                sampling_period=rows.sampling_period,
+                application=rows.application,
+            ),
+            orc_csv,
+        )
         assert vec_csv.read_text() == orc_csv.read_text()
-
-    def test_bad_engine_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            analyze_main(
-                [str(tmp_path / "x.trace"), "-o", str(tmp_path / "x.csv"),
-                 "--engine", "gpu"]
-            )
 
     def test_profile_columnar_end_to_end(self, tmp_path):
         """--columnar writes the binary trace; analysis of it must

@@ -41,20 +41,22 @@ class TestSamplerLatency:
         addrs = np.arange(4, dtype=np.uint64)
         times = np.arange(4, dtype=float)
         lats = np.array([100, 200, 300, 400])
-        samples = s.sample_chunk(addrs, times, lats)
-        assert [x.latency_cycles for x in samples] == [200, 400]
+        _, _, picked = s.sample_chunk_arrays(addrs, times, lats)
+        assert picked.tolist() == [200, 400]
 
     def test_latencies_optional(self):
         s = PebsSampler(period=1)
-        samples = s.sample_chunk(
+        _, _, picked = s.sample_chunk_arrays(
             np.zeros(1, np.uint64), np.zeros(1)
         )
-        assert samples[0].latency_cycles is None
+        assert picked is None
 
     def test_length_checked(self):
         s = PebsSampler(period=1)
         with pytest.raises(ValueError):
-            s.sample_chunk(np.zeros(2, np.uint64), np.zeros(2), np.zeros(3))
+            s.sample_chunk_arrays(
+                np.zeros(2, np.uint64), np.zeros(2), np.zeros(3)
+            )
 
 
 class TestEventRoundTrip:

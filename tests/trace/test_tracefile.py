@@ -37,10 +37,6 @@ class TestContainer:
         assert len(trace.sample_events) == 1
         assert len(trace.phase_events) == 1
 
-    def test_sorted_events(self):
-        times = [e.time for e in _trace().sorted_events()]
-        assert times == sorted(times)
-
     def test_duration(self):
         assert _trace().duration == pytest.approx(0.3)
 
@@ -51,41 +47,6 @@ class TestContainer:
         trace = TraceFile()
         trace.extend([SampleEvent(0.0, 0, 1), SampleEvent(0.1, 0, 2)])
         assert len(trace.events) == 2
-
-
-class TestSortedCache:
-    def test_cached_between_calls(self):
-        trace = _trace()
-        assert trace.sorted_events() is trace.sorted_events()
-
-    def test_append_invalidates(self):
-        trace = _trace()
-        first = trace.sorted_events()
-        trace.append(SampleEvent(0.01, 0, 0x30))
-        second = trace.sorted_events()
-        assert second is not first
-        assert [e.time for e in second] == sorted(e.time for e in trace.events)
-
-    def test_extend_invalidates(self):
-        trace = _trace()
-        first = trace.sorted_events()
-        trace.extend([SampleEvent(0.05, 0, 0x40)])
-        assert trace.sorted_events() is not first
-        assert len(trace.sorted_events()) == len(trace.events)
-
-    def test_direct_events_append_caught(self):
-        """Mutating ``trace.events`` behind the API still invalidates
-        (the cache is keyed on the event count)."""
-        trace = _trace()
-        trace.sorted_events()
-        trace.events.append(SampleEvent(0.0, 0, 0x50))
-        assert len(trace.sorted_events()) == len(trace.events)
-
-    def test_invalidate_caches_explicit(self):
-        trace = _trace()
-        first = trace.sorted_events()
-        trace.invalidate_caches()
-        assert trace.sorted_events() is not first
 
 
 class TestPersistence:

@@ -5,10 +5,29 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.pebs.sampler import PebsSampler
+from repro.runtime.allocator import Allocation
 from repro.runtime.process import SimProcess
 from repro.runtime.symbols import FunctionSymbol, ModuleImage
-from repro.trace.columnar import KIND_ALLOC, KIND_FREE, KIND_PHASE, KIND_SAMPLE
+from repro.trace.columnar import (
+    EVENT_COLUMNS,
+    KIND_ALLOC,
+    KIND_FREE,
+    KIND_PHASE,
+    KIND_SAMPLE,
+    ColumnarTrace,
+)
+from repro.trace.events import (
+    AllocEvent,
+    FreeEvent,
+    PhaseEvent,
+    SampleEvent,
+    StaticVarRecord,
+)
+from repro.trace.tracefile import TraceFile
 from repro.trace.tracer import Tracer, TracerConfig
 from repro.units import KIB, MIB
 
@@ -20,6 +39,8 @@ def _process():
             size=200,
             functions=[
                 FunctionSymbol("main", offset=0, size=64, file="app.c"),
+                FunctionSymbol("solve", offset=64, size=64, file="app.c"),
+                FunctionSymbol("init", offset=128, size=64, file="app.c"),
             ],
         )
     ]
@@ -40,8 +61,9 @@ class TestAllocationRecording:
         process, tracer = traced
         with process.in_function("app", "main", 1):
             process.malloc(8 * KIB)
-        assert len(tracer.trace.alloc_events) == 1
-        event = tracer.trace.alloc_events[0]
+        rows = tracer.columnar_trace().to_tracefile()
+        assert len(rows.alloc_events) == 1
+        event = rows.alloc_events[0]
         assert event.size == 8 * KIB
         assert event.callstack.leaf.function == "main"
 
@@ -50,28 +72,29 @@ class TestAllocationRecording:
         process, tracer = traced
         with process.in_function("app", "main", 1):
             process.malloc(1 * KIB)
-        assert tracer.trace.alloc_events == []
+        assert tracer.columnar_trace().n_allocs == 0
 
     def test_free_of_tracked_recorded(self, traced):
         process, tracer = traced
         with process.in_function("app", "main", 1):
             address = process.malloc(8 * KIB)
         process.free(address)
-        assert len(tracer.trace.free_events) == 1
+        kinds = tracer.columnar_trace().kinds.tolist()
+        assert kinds == [KIND_ALLOC, KIND_FREE]
 
     def test_free_of_filtered_not_recorded(self, traced):
         process, tracer = traced
         with process.in_function("app", "main", 1):
             address = process.malloc(512)
         process.free(address)
-        assert tracer.trace.free_events == []
+        assert tracer.columnar_trace().n_events == 0
 
     def test_timestamps_follow_clock(self, traced):
         process, tracer = traced
         process.advance(4.2)
         with process.in_function("app", "main", 1):
             process.malloc(8 * KIB)
-        assert tracer.trace.alloc_events[0].time == pytest.approx(4.2)
+        assert tracer.columnar_trace().times.tolist() == [pytest.approx(4.2)]
 
 
 class TestSampling:
@@ -85,7 +108,9 @@ class TestSampling:
     def test_phase_markers(self, traced):
         _, tracer = traced
         tracer.record_phase("octsweep", 1.0)
-        assert tracer.trace.phase_events[0].function == "octsweep"
+        cols = tracer.columnar_trace()
+        assert cols.kinds.tolist() == [KIND_PHASE]
+        assert cols.functions[cols.aux[0]] == "octsweep"
 
 
 class TestColumnarSamples:
@@ -104,7 +129,12 @@ class TestColumnarSamples:
         n = tracer.record_misses(np.arange(30, dtype=np.uint64) * 64,
                                  np.linspace(0, 1, 30))
         assert n == 10
-        assert tracer.trace.sample_events == []  # no row objects built
+        # The tracer holds arrays only: no row object is ever built.
+        assert all(
+            isinstance(column, np.ndarray)
+            for chunk in tracer._chunks
+            for column in chunk.values()
+        )
         assert tracer.columnar_trace().n_samples == 10
 
     def test_chunks_merged_across_calls(self):
@@ -123,7 +153,7 @@ class TestColumnarSamples:
     def test_attribution_equivalent_to_row_mode(self):
         """Attributing the columns directly must equal the per-event
         oracle over the same trace's row-oriented export."""
-        from repro.analysis.attribution import attribute_samples
+        from repro._oracles import attribute_samples
         from repro.analysis.vectorattr import attribute_samples_vector
 
         process = _process()
@@ -161,7 +191,8 @@ class TestColumnarSamples:
             [KIND_SAMPLE] * 3 + [KIND_ALLOC, KIND_PHASE]
             + [KIND_SAMPLE] * 2 + [KIND_FREE]
         )
-        assert cols.to_tracefile().events[3] == tracer.trace.events[0]
+        alloc = cols.to_tracefile().events[3]
+        assert (alloc.address, alloc.size) == (address, 8 * KIB)
 
     def test_repeatable_and_releases_chunks(self):
         _, tracer = self._tracer()
@@ -169,8 +200,10 @@ class TestColumnarSamples:
                              np.linspace(0, 1, 30))
         first = tracer.columnar_trace()
         assert tracer.columnar_trace() is first
-        # The buffered chunk is now a view into the merged columns.
-        assert np.shares_memory(tracer._sample_chunks[0][1], first.addresses)
+        # The tracer now holds the merged columns, not a second copy.
+        assert np.shares_memory(
+            tracer._chunks[0]["addresses"], first.addresses
+        )
         tracer.record_misses(np.arange(30, 60, dtype=np.uint64) * 64,
                              np.linspace(1, 2, 30))
         second = tracer.columnar_trace()
@@ -197,8 +230,8 @@ class TestColumnarSamples:
             process.malloc(8 * KIB)
         cols = tracer.columnar_trace()
         assert cols.n_samples == 0
-        assert cols.n_allocs == 1
-        assert cols.to_tracefile() == tracer.trace
+        assert cols.kinds.tolist() == [KIND_ALLOC]
+        assert cols.sizes.tolist() == [8 * KIB]
 
     def test_overhead_still_accounted(self):
         _, tracer = self._tracer()
@@ -213,8 +246,10 @@ class TestMetadata:
         process.register_static("grid", 4096)
         tracer = Tracer(application="t")
         tracer.attach(process)
-        assert tracer.trace.statics[0].name == "grid"
-        base, size = tracer.trace.metadata["stack_region"]
+        cols = tracer.columnar_trace()
+        assert cols.static_names == ("grid",)
+        assert cols.static_sizes.tolist() == [4096]
+        base, size = cols.metadata["stack_region"]
         assert size > 0
         assert base == process.stack_region.base
 
@@ -254,3 +289,137 @@ class TestLifetime:
             assert columns() is None
         finally:
             gc.enable()
+
+
+class _RowRecorder:
+    """The tracer's oracle: the same callbacks recorded event by event
+    into a :class:`TraceFile`, for ``from_tracefile`` to columnarise."""
+
+    def __init__(self, tracer: Tracer, process: SimProcess) -> None:
+        config = tracer.config
+        self.config, self.rank, self.process = config, tracer.rank, process
+        self.sampler = PebsSampler(
+            period=config.sampling_period,
+            phase=tracer.rank % config.sampling_period,
+        )
+        self.trace = TraceFile(
+            application=tracer.application,
+            sampling_period=config.sampling_period,
+            metadata={"stack_region": [process.stack_region.base,
+                                       process.stack_region.size]},
+            statics=[
+                StaticVarRecord(name, tracer.rank, region.base, region.size)
+                for name, region in process.statics.items()
+            ],
+        )
+
+    def on_malloc(self, alloc, clock):
+        if alloc.size >= self.config.min_alloc_size:
+            self.trace.append(AllocEvent(
+                clock, self.rank, alloc.address, alloc.size,
+                self.process.symbols.translate(alloc.callstack),
+                alloc.allocator,
+            ))
+
+    def on_free(self, alloc, clock):
+        if alloc.size >= self.config.min_alloc_size:
+            self.trace.append(FreeEvent(clock, self.rank, alloc.address))
+
+    def record_phase(self, function, clock):
+        self.trace.append(PhaseEvent(clock, self.rank, function))
+
+    def record_misses(self, addresses, times, latencies):
+        if not self.config.record_latency:
+            latencies = None
+        picked = self.sampler.sample_chunk_arrays(addresses, times, latencies)
+        for i in range(picked[0].size):
+            self.trace.append(SampleEvent(
+                float(picked[1][i]), self.rank, int(picked[0][i]),
+                None if picked[2] is None else int(picked[2][i]),
+            ))
+
+
+def _assert_same_trace(got: ColumnarTrace, want: ColumnarTrace) -> None:
+    for name in (*EVENT_COLUMNS, "static_ranks", "static_addresses",
+                 "static_sizes"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    for name in ("application", "ranks", "sampling_period", "metadata",
+                 "callstacks", "functions", "allocators", "static_names"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+_FUNCTIONS = ("main", "solve", "init")
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("malloc"), st.sampled_from((KIB, 8 * KIB, 64 * KIB)),
+                  st.sampled_from(_FUNCTIONS),
+                  st.sampled_from(("posix", "memkind", "kmp"))),
+        st.tuples(st.just("free"), st.integers(0, 40)),
+        st.tuples(st.just("phase"), st.sampled_from(_FUNCTIONS)),
+        st.tuples(st.just("misses"), st.integers(0, 25)),
+        st.tuples(st.just("snapshot")),
+    ),
+    max_size=40,
+)
+
+
+class TestRowEquivalenceProperty:
+    @given(_ops, st.integers(1, 5), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_columns_equal_row_by_row_trace(self, ops, period, latency):
+        """Any interleaving of records and sample chunks, with the
+        trace also taken mid-stream, gives the columns that feeding
+        the same events row by row through ``TraceFile`` and
+        ``from_tracefile`` gives; earlier snapshots stay unchanged."""
+        process = _process()
+        process.register_static("grid", 4096)
+        tracer = Tracer(
+            TracerConfig(min_alloc_size=4 * KIB, sampling_period=period,
+                         record_latency=latency),
+            application="prop", rank=1,
+        )
+        tracer.attach(process)
+        rows = _RowRecorder(tracer, process)
+        stacks = {}
+        for function in _FUNCTIONS:
+            with process.in_function("app", function, 1):
+                stacks[function] = process.backtrace()
+        live: list[Allocation] = []
+        snapshots = []
+        rng = np.random.default_rng(period)
+        for step, op in enumerate(ops):
+            clock = step * 0.5
+            if op[0] == "malloc":
+                alloc = Allocation(0x10000 * (step + 1), op[1], op[3],
+                                   step, stacks[op[2]])
+                live.append(alloc)
+                for observer in (tracer, rows):
+                    observer.on_malloc(alloc, clock)
+            elif op[0] == "free" and live:
+                alloc = live.pop(op[1] % len(live))
+                for observer in (tracer, rows):
+                    observer.on_free(alloc, clock)
+            elif op[0] == "phase":
+                for observer in (tracer, rows):
+                    observer.record_phase(op[1], clock)
+            elif op[0] == "misses":
+                n = op[1]
+                chunk = (
+                    rng.integers(0, 2**40, size=n).astype(np.uint64),
+                    clock + np.linspace(0.0, 0.4, n),
+                    rng.integers(50, 500, size=n),
+                )
+                for observer in (tracer, rows):
+                    observer.record_misses(*chunk)
+            elif op[0] == "snapshot":
+                want = ColumnarTrace.from_tracefile(rows.trace)
+                got = tracer.columnar_trace()
+                _assert_same_trace(got, want)
+                snapshots.append((got, want))
+        _assert_same_trace(
+            tracer.columnar_trace(), ColumnarTrace.from_tracefile(rows.trace)
+        )
+        for got, want in snapshots:
+            _assert_same_trace(got, want)
