@@ -1,8 +1,8 @@
 """Per-event reference implementations (test oracles).
 
 Each function here is the plain, one-event-at-a-time version of a
-vectorised production path, kept only so property tests and the
-legacy ``repro-bench`` harness can prove the fast path equal to it.
+vectorised production path, kept only so property tests can prove
+the fast path equal to it.
 No production module imports this package.
 """
 

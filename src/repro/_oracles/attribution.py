@@ -9,15 +9,15 @@ sample lands on the object that owned the address *at sample time*.
 
 from __future__ import annotations
 
-from repro.analysis.attribution import (
-    _PRIORITY,
-    AttributionResult,
-    stack_region_of,
-)
+from repro.analysis.attribution import AttributionResult, stack_region_of
 from repro.analysis.objects import ObjectKey
 from repro.runtime.heap import LiveRangeIndex
 from repro.trace.events import AllocEvent, FreeEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
+
+# Tie-break priorities for events with equal timestamps: allocations
+# become visible before samples at the same instant; frees apply after.
+_PRIORITY = {AllocEvent: 0, SampleEvent: 1, FreeEvent: 2}
 
 
 def attribute_samples(trace: TraceFile) -> AttributionResult:

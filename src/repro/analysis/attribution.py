@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.objects import ObjectKey
-from repro.trace.events import AllocEvent, FreeEvent, SampleEvent
 
 
 @dataclass
@@ -44,11 +43,6 @@ class AttributionResult:
         if self.total_samples == 0:
             return 0.0
         return self.misses.get(key, 0) / self.total_samples
-
-
-# Tie-break priorities for events with equal timestamps: allocations
-# become visible before samples at the same instant; frees apply after.
-_PRIORITY = {AllocEvent: 0, SampleEvent: 1, FreeEvent: 2}
 
 
 def stack_region_of(metadata: dict) -> tuple[int | None, int | None]:

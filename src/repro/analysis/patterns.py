@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.analysis.attribution import _PRIORITY  # shared event ordering
+import numpy as np
+
 from repro.analysis.objects import ObjectKey
-from repro.runtime.heap import LiveRangeIndex
+from repro.analysis.vectorattr import sample_owners
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import AllocEvent, FreeEvent, SampleEvent
 from repro.trace.tracefile import TraceFile
 
 
@@ -78,31 +78,24 @@ COHERENCE_THRESHOLD = 0.75
 DISPERSION_THRESHOLD = 0.35
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _classify_addresses(addresses: list[int]) -> tuple[PatternClass, float, float]:
-    n = len(addresses)
+def _classify_addresses(
+    addresses: np.ndarray,
+) -> tuple[PatternClass, float, float]:
+    n = addresses.size
     if n < MIN_SAMPLES:
         return PatternClass.UNKNOWN, 0.0, 0.0
-    deltas = [b - a for a, b in zip(addresses, addresses[1:])]
-    moving = [d for d in deltas if d != 0]
-    if not moving:
+    deltas = np.diff(addresses)
+    moving = deltas[deltas != 0]
+    if not moving.size:
         return PatternClass.REGULAR, 1.0, 0.0
-    forward = sum(1 for d in moving if d > 0)
-    coherence = max(forward, len(moving) - forward) / len(moving)
-    magnitudes = [float(abs(d)) for d in moving]
-    median = _median(magnitudes)
+    forward = int(np.count_nonzero(moving > 0))
+    coherence = max(forward, moving.size - forward) / moving.size
+    magnitudes = np.abs(moving).astype(np.float64)
+    median = float(np.median(magnitudes))
     if median == 0:
         dispersion = 0.0
     else:
-        mad = _median([abs(m - median) for m in magnitudes])
-        dispersion = mad / median
+        dispersion = float(np.median(np.abs(magnitudes - median))) / median
     if coherence >= COHERENCE_THRESHOLD and dispersion <= DISPERSION_THRESHOLD:
         return PatternClass.REGULAR, coherence, dispersion
     return PatternClass.IRREGULAR, coherence, dispersion
@@ -113,40 +106,26 @@ def classify_access_patterns(
 ) -> dict[ObjectKey, PatternVerdict]:
     """Classify every sampled object in ``trace``.
 
-    Samples are attributed time-aware (the same replay the profiler
-    uses), then each object's address sequence is scored.
+    Samples are attributed time-aware (the replay the profile's
+    attribution uses), then each object's address sequence is scored.
+    Verdicts are keyed in the order objects are first sampled.
     """
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_tracefile()
-    index: LiveRangeIndex[ObjectKey] = LiveRangeIndex()
-    per_object: dict[ObjectKey, list[int]] = {}
-
-    for static in trace.statics:
-        key = ObjectKey.static(static.name)
-        index.insert(static.address, static.size, key)
-
-    events = sorted(
-        trace.events, key=lambda e: (e.time, _PRIORITY.get(type(e), 3))
-    )
-    for event in events:
-        if isinstance(event, AllocEvent):
-            index.insert(
-                event.address, event.size, ObjectKey.dynamic(event.callstack)
-            )
-        elif isinstance(event, FreeEvent):
-            index.remove(event.address)
-        elif isinstance(event, SampleEvent):
-            key = index.lookup(event.address)
-            if key is not None:
-                per_object.setdefault(key, []).append(event.address)
+    addresses, owners, keys = sample_owners(trace)
+    hits = np.flatnonzero(owners >= 0)
+    # Group samples by object, each group still in time order.
+    by_object = hits[np.argsort(owners[hits], kind="stable")]
+    key_ids, starts = np.unique(owners[by_object], return_index=True)
+    ends = np.append(starts[1:], by_object.size)
 
     verdicts: dict[ObjectKey, PatternVerdict] = {}
-    for key, addresses in per_object.items():
-        pattern, coherence, dispersion = _classify_addresses(addresses)
+    for g in np.argsort(by_object[starts]):
+        sampled = addresses[by_object[starts[g] : ends[g]]]
+        pattern, coherence, dispersion = _classify_addresses(sampled)
+        key = keys[key_ids[g]]
         verdicts[key] = PatternVerdict(
             key=key,
             pattern=pattern,
-            samples=len(addresses),
+            samples=int(sampled.size),
             direction_coherence=coherence,
             stride_dispersion=dispersion,
         )

@@ -571,3 +571,31 @@ def attribute_samples_vector(
     attributor = IncrementalAttributor(trace)
     attributor.advance_all()
     return attributor.result()
+
+
+class _OwnerReplay(IncrementalAttributor):
+    """The attribution replay, keeping which object each sample hit
+    instead of the tallies (so :meth:`result` is meaningless here)."""
+
+    def __init__(self, trace: "ColumnarTrace | TraceFile") -> None:
+        super().__init__(trace)
+        self.owners = np.full(self._samp_addr.size, -1, dtype=np.int64)
+
+    def _flush(self, s0: int, s1: int) -> None:
+        hit, kids = self._table.match(self._samp_addr[s0:s1])
+        self.owners[s0:s1][hit] = kids
+
+
+def sample_owners(
+    trace: "ColumnarTrace | TraceFile",
+) -> tuple[np.ndarray, np.ndarray, list[ObjectKey]]:
+    """Every sample's address and owning object, in replay order.
+
+    Returns ``(addresses, key_ids, keys)``: ``key_ids[i]`` indexes
+    ``keys`` for the object sample ``i`` hit at sample time, or is -1
+    where it hit no live object (stack, wild or stale pointers). The
+    matching is the replay :func:`attribute_samples_vector` counts.
+    """
+    replay = _OwnerReplay(trace)
+    replay.advance_all()
+    return replay._samp_addr, replay.owners, replay._keys

@@ -839,92 +839,3 @@ def cluster_main(argv: list[str] | None = None) -> int:
             print(f"report -> {args.report}")
 
     return _run(parser, run, argv)
-
-
-# ---------------------------------------------------------------------------
-# repro-bench
-# ---------------------------------------------------------------------------
-
-
-def bench_main(argv: list[str] | None = None) -> int:
-    """Benchmark the vectorised kernels and gate on regressions."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Time each vectorised simulation kernel against its "
-        "per-access reference on fixed-seed workloads, verify they "
-        "agree, write the BENCH JSON trajectory, and (with --baseline) "
-        "fail on throughput regressions.",
-    )
-    parser.add_argument("-o", "--output", type=Path,
-                        default=Path("BENCH_PR10.json"),
-                        help="benchmark report to write "
-                        "(default BENCH_PR10.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="~10x smaller streams (CI smoke mode)")
-    parser.add_argument("--both", action="store_true",
-                        help="run full AND quick and merge the records "
-                        "(what the committed baseline is made of, so "
-                        "the CI quick run has matching keys to gate "
-                        "against)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per kernel, best-of "
-                        "(default: 3 full, 1 quick)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline BENCH JSON to gate against")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="maximum tolerated throughput loss vs the "
-                        "baseline, as a fraction (default 0.25)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print per-stage execution counts and "
-                        "wall time after the results")
-
-    def run(args) -> None:
-        from repro.bench import BenchReport, compare_baseline, run_bench
-
-        if args.both:
-            # Quick pass FIRST: CI's bench-smoke job runs quick in a
-            # cold process, so the baseline's quick records must be
-            # measured cold too — after the full pass the allocator
-            # and CPU are warm and quick throughput reads ~20% high.
-            quick = run_bench(
-                quick=True, seed=args.seed, repeats=args.repeats
-            )
-            report = run_bench(
-                quick=False, seed=args.seed, repeats=args.repeats
-            )
-            report.records.extend(quick.records)
-            report.metrics.merge(quick.metrics)
-            report.mode = "full+quick"
-        else:
-            report = run_bench(
-                quick=args.quick, seed=args.seed, repeats=args.repeats
-            )
-        table = AsciiTable(
-            ["stage", "scenario", "n", "seconds", "throughput/s", "speedup"]
-        )
-        for rec in report.records:
-            table.add_row(
-                rec.stage, rec.scenario, rec.n, rec.seconds,
-                rec.throughput, rec.speedup if rec.speedup else 0.0,
-            )
-        print(table.render())
-        report.save(args.output)
-        print(f"\n[{report.mode}] {len(report.records)} records "
-              f"-> {args.output}")
-        if args.metrics:
-            print(format_stage_metrics(report.metrics))
-        if args.baseline is not None:
-            baseline = BenchReport.load(args.baseline)
-            failures = compare_baseline(
-                report, baseline, max_regression=args.max_regression
-            )
-            if failures:
-                raise ReproError(
-                    "throughput regression vs "
-                    f"{args.baseline}:\n  " + "\n  ".join(failures)
-                )
-            print(f"regression gate vs {args.baseline}: OK "
-                  f"(max allowed {args.max_regression:.0%})")
-
-    return _run(parser, run, argv)

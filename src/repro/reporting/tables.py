@@ -100,24 +100,13 @@ def format_figure4(result: ExperimentResult) -> str:
 
 
 def format_stage_metrics(metrics: StageMetrics) -> str:
-    """Per-stage execution counts and wall time, plus the sweep's
-    cache/fault bookkeeping counters.
-
-    Stage names are open-ended (``bench:*`` timings from repro-bench,
-    for instance): every *timed* name renders, pipeline stages first
-    in canonical order, extras after them in insertion order."""
+    """Execution counts and wall time of the four pipeline stages, in
+    pipeline order, plus the sweep's cache/fault bookkeeping counters."""
     table = AsciiTable(["stage", "executions", "seconds"])
-    extras = [
-        name for name in metrics.seconds
-        if name not in STAGE_NAMES
-    ]
-    for stage in (*STAGE_NAMES, *extras):
+    for stage in STAGE_NAMES:
         table.add_row(stage, metrics.count(stage), metrics.wall_seconds(stage))
     table.add_row(
-        "total",
-        metrics.total_stage_executions + sum(map(metrics.count, extras)),
-        metrics.total_stage_seconds
-        + sum(map(metrics.wall_seconds, extras)),
+        "total", metrics.total_stage_executions, metrics.total_stage_seconds
     )
     lines = ["-- stage metrics --", table.render()]
     bookkeeping = [

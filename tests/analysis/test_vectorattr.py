@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._oracles import attribute_samples
 from repro.analysis.objects import ObjectKey
-from repro.analysis.vectorattr import attribute_samples_vector
+from repro.analysis.vectorattr import attribute_samples_vector, sample_owners
 from repro.runtime.callstack import CallStack, Frame
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import (
@@ -193,6 +194,23 @@ class TestEquivalenceProperty:
         assert (
             attribute_samples_vector(ColumnarTrace.from_tracefile(trace))
             == want
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(trace=attribution_traces())
+    def test_sample_owners_match_like_oracle(self, trace):
+        """The per-sample owners the pattern classifier groups by are
+        the oracle's hits: same objects, same counts."""
+        want = attribute_samples(trace)
+        _, owners, keys = sample_owners(trace)
+        counts: dict[ObjectKey, int] = {}
+        for kid in owners[owners >= 0].tolist():
+            counts[keys[kid]] = counts.get(keys[kid], 0) + 1
+        assert counts == {
+            key: n for key, n in want.misses.items() if key != ObjectKey.stack()
+        }
+        assert int(np.count_nonzero(owners < 0)) == (
+            want.stack_samples + want.unresolved_samples
         )
 
 

@@ -10,7 +10,6 @@ from repro.analysis.profile import ProfileSet
 from repro.cli.main import (
     advise_main,
     analyze_main,
-    bench_main,
     experiment_main,
     faults_main,
     parse_size,
@@ -231,50 +230,6 @@ class TestFaultFlow:
             ["cgpop", "--plan", str(plan_path), "--factors", "a,b"]
         ) == 1
         assert "factors" in capsys.readouterr().err
-
-
-class TestBenchFlow:
-    def test_quick_run_and_self_gate(self, tmp_path, capsys):
-        """One quick pass writes the report; gating a run against its
-        own output must always be clean."""
-        out = tmp_path / "bench.json"
-        argv = ["--quick", "--repeats", "1", "-o", str(out)]
-        assert bench_main(argv + ["--metrics"]) == 0
-        stdout = capsys.readouterr().out
-        assert out.exists()
-        assert "cache_setassoc" in stdout
-        assert "bench:cache_setassoc" in stdout  # metrics table
-        assert bench_main(argv + ["--baseline", str(out),
-                                  "--max-regression", "0.99"]) == 0
-        assert "regression gate" in capsys.readouterr().out
-
-    def test_regression_flips_exit_code(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        baseline = tmp_path / "baseline.json"
-        assert bench_main(
-            ["--quick", "--repeats", "1", "-o", str(out)]
-        ) == 0
-        capsys.readouterr()
-        # A baseline claiming impossible throughput must trip the gate.
-        data = json.loads(out.read_text())
-        for rec in data["records"]:
-            rec["throughput"] *= 1e6
-        baseline.write_text(json.dumps(data))
-        assert bench_main(
-            ["--quick", "--repeats", "1", "-o", str(out),
-             "--baseline", str(baseline)]
-        ) == 1
-        assert "throughput regression" in capsys.readouterr().err
-
-    def test_unreadable_baseline_errors_cleanly(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert bench_main(
-            ["--quick", "--repeats", "1", "-o", str(out),
-             "--baseline", str(tmp_path / "ghost.json")]
-        ) == 1
-        assert "cannot read baseline" in capsys.readouterr().err
 
 
 class TestOnlineFlow:

@@ -1,20 +1,23 @@
-"""Production code never reaches the per-event oracles: only tests and
-the legacy ``repro.bench`` harness import :mod:`repro._oracles`."""
+"""Production code never reaches the per-event oracles: only tests
+import :mod:`repro._oracles`."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 
 SRC = Path(repro.__file__).parent
 ORACLES = "repro._oracles"
 #: Top-level subpackages allowed to import the oracles.
-ALLOWED = ("_oracles", "bench")
+ALLOWED = ("_oracles",)
 
 
-def _imported_modules(path: Path) -> set[str]:
-    """Every module ``path`` imports, relative imports resolved."""
-    package = ["repro", *path.relative_to(SRC).parent.parts]
+def _imported_modules(path: Path, root: Path = SRC) -> set[str]:
+    """Every module ``path`` imports, relative imports resolved against
+    its place under ``root`` (the ``repro`` package directory)."""
+    package = ["repro", *path.relative_to(root).parent.parts]
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -29,10 +32,10 @@ def _imported_modules(path: Path) -> set[str]:
     return found
 
 
-def _imports_oracles(path: Path) -> bool:
+def _imports_oracles(path: Path, root: Path = SRC) -> bool:
     return any(
         name == ORACLES or name.startswith(ORACLES + ".")
-        for name in _imported_modules(path)
+        for name in _imported_modules(path, root)
     )
 
 
@@ -46,5 +49,18 @@ def test_no_production_module_imports_oracles():
     assert offenders == []
 
 
-def test_scan_sees_the_bench_harness_import():
-    assert _imports_oracles(SRC / "bench" / "harness.py")
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro._oracles import attribute_samples\n",
+        "from ..._oracles.cache import feed_reference\n",
+    ],
+    ids=["absolute", "relative"],
+)
+def test_scan_sees_an_oracle_import(tmp_path, source):
+    """Positive control: the scan must see both import spellings, or an
+    empty offender list above would prove nothing."""
+    module = tmp_path / "online" / "sub" / "probe.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(source)
+    assert _imports_oracles(module, root=tmp_path)

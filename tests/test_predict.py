@@ -1,13 +1,17 @@
 """Trace-replay prediction (Section V future work)."""
 
+import numpy as np
 import pytest
 
-from repro.advisor.report import PlacementReport
+from repro._oracles import predict_share_reference
+from repro.advisor.report import PlacementEntry, PlacementReport
+from repro.analysis.objects import ObjectKey, ObjectKind
+from repro.analysis.profile import ObjectProfile, ProfileSet
 from repro.errors import AdvisorError
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.placement.policies import run_framework
 from repro.predict.replay import PredictorCalibration, TraceReplayPredictor
-from repro.units import MIB
+from repro.units import KIB, MIB
 
 
 @pytest.fixture()
@@ -139,3 +143,55 @@ class TestPartialPlacementPrediction:
         }
         assert partial_keys
         assert report.selected_keys("MCDRAM").isdisjoint(partial_keys)
+
+
+def _synthetic_profiles(n_objects: int, seed: int):
+    """``n_objects`` dynamic objects with random misses and sizes; every
+    other one promoted, alternately whole and half (``fraction=0.5``)."""
+    rng = np.random.default_rng(seed)
+    misses = rng.integers(1, 1000, size=n_objects)
+    sizes = rng.integers(4 * KIB, 4 * MIB, size=n_objects)
+    profiles = ProfileSet(
+        profiles=[
+            ObjectProfile(
+                key=ObjectKey(
+                    kind=ObjectKind.DYNAMIC,
+                    identity=((f"alloc_{i}", "synthetic.c", i),),
+                ),
+                sampled_misses=int(misses[i]),
+                size=int(sizes[i]),
+                sampled_latency=int(misses[i]) * 300,
+            )
+            for i in range(n_objects)
+        ],
+        stack_samples=17,
+        unresolved_samples=5,
+    )
+    report = PlacementReport(application="synthetic", strategy="density")
+    for i in range(0, n_objects, 2):
+        report.entries.append(
+            PlacementEntry(
+                key=profiles.profiles[i].key,
+                tier="MCDRAM",
+                size=int(sizes[i]),
+                sampled_misses=int(misses[i]),
+                fraction=1.0 if i % 4 else 0.5,
+            )
+        )
+    return profiles, report
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_promoted_share_matches_scalar_oracle(machine, seed):
+    """The vectorised share equals the per-object loop it replaced, on
+    whole and half-promoted entries alike."""
+    profiles, report = _synthetic_profiles(400, seed)
+    assert {e.fraction for e in report.entries} == {0.5, 1.0}
+    predictor = TraceReplayPredictor(
+        machine,
+        PredictorCalibration(
+            fom_ddr=1000.0, ddr_time=10.0, memory_bound_fraction=0.6
+        ),
+    )
+    share = predictor.predict(profiles, report).promoted_miss_share
+    assert abs(share - predict_share_reference(profiles, report)) <= 1e-9
