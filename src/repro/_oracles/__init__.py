@@ -14,13 +14,16 @@ from repro._oracles.scalar import (
     sample_reference,
     windowed_cost_reference,
 )
+from repro._oracles.stream import interleave_reference, window_stream_reference
 
 __all__ = [
     "access_stream_reference",
     "attribute_samples",
     "feed_reference",
+    "interleave_reference",
     "make_scoring_workload",
     "predict_share_reference",
     "sample_reference",
+    "window_stream_reference",
     "windowed_cost_reference",
 ]

@@ -282,6 +282,46 @@ class ReplayResult:
         return sum(1 for a in served if a == fast_allocator) / len(served)
 
 
+def _round_robin_order(sizes: list[int], chunks: int = 8) -> np.ndarray:
+    """Permutation of the concatenation of arrays of ``sizes`` that
+    merges them round-robin: the first of ``chunks`` near-equal pieces
+    of each array in turn (``np.array_split`` sizing), then the second
+    pieces, and so on, keeping each array's own order."""
+    sizes_arr = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes_arr) - sizes_arr
+    quotient, remainder = np.divmod(sizes_arr, chunks)
+    chunk = np.arange(chunks)[:, None]
+    lengths = (quotient + (chunk < remainder)).ravel()
+    begins = (starts + chunk * quotient + np.minimum(chunk, remainder)).ravel()
+    firsts = np.cumsum(lengths) - lengths
+    return np.repeat(begins - firsts, lengths) + np.arange(lengths.sum())
+
+
+@dataclass(frozen=True, slots=True)
+class _WindowPlan:
+    """A window's miss stream with the sites' base addresses left out.
+
+    Within one profiling run the touch sets, the per-window miss count
+    of each site and the stack share of each phase are fixed, so every
+    window of one phase with the same sites present merges the same
+    offsets in the same order. Only the bases move (churn objects are
+    reallocated each iteration). Each column is already in merged
+    order and read-only.
+    """
+
+    #: Segment of each miss: the index of its site in the window's
+    #: present sites, the stack last.
+    segments: np.ndarray
+    #: Byte offset of each miss from its segment's base.
+    offsets: np.ndarray
+    #: Access cost of each miss in cycles.
+    latencies: np.ndarray
+    #: ``arange(n) + 0.5``, the misses' positions in the window.
+    ramp: np.ndarray
+    #: Misses per site (heap/static in inventory order, then "<stack>").
+    counts: dict[str, int]
+
+
 class SimApplication:
     """Base class: subclasses fill the class attributes below."""
 
@@ -659,35 +699,55 @@ class SimApplication:
         total = sum(p.duration_fraction for p in eligible)
         return phase.duration_fraction / total
 
-    @classmethod
-    def _interleave_like(
-        cls, companions: list[np.ndarray], arrays: list[np.ndarray],
-        chunks: int = 8,
-    ) -> np.ndarray:
-        """Interleave ``companions`` with the exact permutation
-        :meth:`_interleave` applies to ``arrays`` (pairwise aligned)."""
-        paired = [c for c, a in zip(companions, arrays) if a.size]
-        if not paired:
-            return np.zeros(0, dtype=np.int64)
-        pieces: list[np.ndarray] = []
-        splits = [np.array_split(c, chunks) for c in paired]
-        for chunk in range(chunks):
-            for split in splits:
-                pieces.append(split[chunk])
-        return np.concatenate(pieces)
+    def window_live(self, t0: float, live: dict[str, int]) -> dict[str, int]:
+        """The live dynamic sites (name -> base address) the window
+        starting at ``t0`` generates misses from. Every live site by
+        default; a workload with idle stretches drops sites here."""
+        return live
 
-    @staticmethod
-    def _interleave(arrays: list[np.ndarray], chunks: int = 8) -> np.ndarray:
-        """Deterministic round-robin merge preserving intra-array order."""
-        arrays = [a for a in arrays if a.size]
-        if not arrays:
-            return np.zeros(0, dtype=np.uint64)
-        pieces: list[np.ndarray] = []
-        splits = [np.array_split(a, chunks) for a in arrays]
-        for c in range(chunks):
-            for s in splits:
-                pieces.append(s[c])
-        return np.concatenate(pieces)
+    def _window_plan(
+        self,
+        phase: PhaseSpec,
+        names: tuple[str, ...],
+        touch_sets: dict[str, np.ndarray],
+        stack_touch: np.ndarray,
+    ) -> _WindowPlan:
+        """The plan of a window of ``phase`` in which the sites
+        ``names`` (inventory order) have a base address."""
+        per_iter = self._misses_per_iteration()
+        counts: dict[str, int] = {}
+        offsets: list[np.ndarray] = []
+        latencies: list[int] = []
+        for name in names:
+            spec = self.find_object(name)
+            n = per_iter[name] // max(self._touching_phase_count(spec), 1)
+            offsets.append(touch_sets[name][:n])
+            latencies.append(spec.pattern.latency_cycles)
+            if n:
+                counts[name] = n
+        n_stack = int(
+            round(
+                self._stack_misses_per_iteration()
+                * self._stack_share_of_phase(phase)
+            )
+        )
+        if n_stack > 0:
+            counts["<stack>"] = n_stack
+            offsets.append(stack_touch[:n_stack])
+            latencies.append(STACK_LATENCY_CYCLES)
+        sizes = [o.size for o in offsets]
+        order = _round_robin_order(sizes)
+        segments = np.repeat(np.arange(len(sizes)), sizes)[order]
+        plan = _WindowPlan(
+            segments=segments,
+            offsets=np.concatenate(offsets or [np.zeros(0, np.int64)])[order],
+            latencies=np.asarray(latencies, dtype=np.int64)[segments],
+            ramp=np.arange(order.size) + 0.5,
+            counts=counts,
+        )
+        for column in (plan.segments, plan.offsets, plan.latencies, plan.ramp):
+            column.flags.writeable = False
+        return plan
 
     def generate_window_stream(
         self,
@@ -699,59 +759,41 @@ class SimApplication:
         stack_base: int,
         touch_sets: dict[str, np.ndarray],
         stack_touch: np.ndarray,
+        plans: dict[tuple, _WindowPlan],
     ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
         """Addresses/times/latencies of one (iteration, phase) window's
         misses. Latencies model a Xeon-style PMU; the tracer decides
-        whether to record them."""
-        per_iter = self._misses_per_iteration()
-        counts: dict[str, int] = {}
-        arrays: list[np.ndarray] = []
-        latency_arrays: list[np.ndarray] = []
+        whether to record them.
 
+        ``plans`` memoises one :class:`_WindowPlan` per window shape;
+        pass the same dict for every window of one run (the plans bake
+        in that run's touch sets). Only the base addresses vary between
+        windows of one shape, so a window costs one gather. The
+        latency column returned is the plan's, read-only.
+        """
+        live = self.window_live(t0, live)
+        names: list[str] = []
+        bases: list[int] = []
         for spec in self.objects:
             if not spec.touches(phase.function):
                 continue
-            base = (
-                statics.get(spec.name)
-                if spec.static
-                else live.get(spec.name)
+            base = (statics if spec.static else live).get(spec.name)
+            if base is not None:
+                names.append(spec.name)
+                bases.append(base)
+        bases.append(stack_base)
+        key = (phase, tuple(names))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = self._window_plan(
+                phase, key[1], touch_sets, stack_touch
             )
-            if base is None:
-                continue
-            n = per_iter[spec.name] // max(self._touching_phase_count(spec), 1)
-            if n == 0:
-                continue
-            offsets = touch_sets[spec.name][:n]
-            arrays.append((base + offsets).astype(np.uint64))
-            latency_arrays.append(
-                np.full(offsets.size, spec.pattern.latency_cycles,
-                        dtype=np.int64)
-            )
-            counts[spec.name] = counts.get(spec.name, 0) + int(offsets.size)
-
-        n_stack = int(
-            round(
-                self._stack_misses_per_iteration()
-                * self._stack_share_of_phase(phase)
-            )
-        )
-        if n_stack > 0:
-            offs = stack_touch[:n_stack]
-            arrays.append((stack_base + offs).astype(np.uint64))
-            latency_arrays.append(
-                np.full(offs.size, STACK_LATENCY_CYCLES, dtype=np.int64)
-            )
-            counts["<stack>"] = counts.get("<stack>", 0) + int(offs.size)
-
-        merged = self._interleave(arrays)
-        latencies = self._interleave_like(latency_arrays, arrays)
-        if merged.size:
-            times = t0 + (np.arange(merged.size) + 0.5) * (t1 - t0) / (
-                merged.size + 1
-            )
-        else:
-            times = np.zeros(0, dtype=float)
-        return merged, times, counts, latencies
+        # The same bits as .astype(np.uint64), without a second copy.
+        addresses = (
+            np.array(bases, dtype=np.int64)[plan.segments] + plan.offsets
+        ).view(np.uint64)
+        times = t0 + plan.ramp * (t1 - t0) / (plan.ramp.size + 1)
+        return addresses, times, dict(plan.counts), plan.latencies
 
     # ------------------------------------------------------------------
     # profiling run (framework step 1)
@@ -796,6 +838,11 @@ class SimApplication:
         statics = {
             name: region.base for name, region in process.statics.items()
         }
+        latency_cycles = {
+            o.name: o.pattern.latency_cycles for o in self.objects
+        }
+        latency_cycles["<stack>"] = STACK_LATENCY_CYCLES
+        plans: dict[tuple, _WindowPlan] = {}
 
         truth = GroundTruth()
         all_addresses: list[np.ndarray] = []
@@ -817,22 +864,19 @@ class SimApplication:
                 process.stack_region.base,
                 touch_sets,
                 stack_touch,
+                plans,
             )
             for site, n in counts.items():
                 truth.misses_by_site[site] = (
                     truth.misses_by_site.get(site, 0) + n
                 )
-                latency = (
-                    STACK_LATENCY_CYCLES
-                    if site == "<stack>"
-                    else self.find_object(site).pattern.latency_cycles
-                )
                 truth.latency_by_site[site] = (
-                    truth.latency_by_site.get(site, 0.0) + n * latency
+                    truth.latency_by_site.get(site, 0.0)
+                    + n * latency_cycles[site]
                 )
             truth.total_misses += int(addresses.size)
             truth.windows.append(
-                WindowTruth(t0=t0, t1=t1, misses_by_site=dict(counts))
+                WindowTruth(t0=t0, t1=t1, misses_by_site=counts)
             )
             all_addresses.append(addresses)
             all_times.append(times)

@@ -22,14 +22,13 @@ at the shift, which is the scenario the ISSUE's acceptance criterion
 measures.
 
 The regime switch is implemented by dropping the inactive hot array
-from the ``live`` map a window generates misses from — the object
-stays allocated (both are init-time persistent allocations), it is
-simply untouched, exactly like a solver array between solver stages.
+from the live set a window generates misses from (``window_live``) —
+the object stays allocated (both are init-time persistent
+allocations), it is simply untouched, exactly like a solver array
+between solver stages.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.apps.base import (
     AccessPattern,
@@ -108,26 +107,6 @@ class PhaseShift(SimApplication):
         """The hot array *not* being touched at wall-clock ``t``."""
         return "hot_black" if t < self.shift_time else "hot_red"
 
-    def generate_window_stream(
-        self,
-        phase: PhaseSpec,
-        t0: float,
-        t1: float,
-        live: dict[str, int],
-        statics: dict[str, int],
-        stack_base: int,
-        touch_sets: dict[str, np.ndarray],
-        stack_touch: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
-        live = dict(live)
-        live.pop(self.idle_hot_object(t0), None)
-        return super().generate_window_stream(
-            phase,
-            t0,
-            t1,
-            live,
-            statics,
-            stack_base,
-            touch_sets,
-            stack_touch,
-        )
+    def window_live(self, t0: float, live: dict[str, int]) -> dict[str, int]:
+        idle = self.idle_hot_object(t0)
+        return {name: base for name, base in live.items() if name != idle}
