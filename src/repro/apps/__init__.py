@@ -21,7 +21,7 @@ from repro.apps.base import (
     ReplayResult,
     SimApplication,
 )
-from repro.apps.registry import APP_NAMES, get_app, iter_apps
+from repro.apps.registry import ALL_APP_NAMES, APP_NAMES, get_app, iter_apps
 
 __all__ = [
     "AccessPattern",
@@ -34,6 +34,7 @@ __all__ = [
     "ReplayResult",
     "SimApplication",
     "APP_NAMES",
+    "ALL_APP_NAMES",
     "get_app",
     "iter_apps",
 ]

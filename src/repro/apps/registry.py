@@ -41,6 +41,9 @@ _REGISTRY: dict[str, Callable[[], SimApplication]] = {
     "phaseshift": PhaseShift,
 }
 
+#: Every name :func:`get_app` resolves: Table I, then the extras.
+ALL_APP_NAMES: tuple[str, ...] = tuple(_REGISTRY)
+
 
 def get_app(name: str) -> SimApplication:
     """Instantiate an application model by name."""

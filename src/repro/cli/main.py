@@ -15,7 +15,7 @@ from repro.analysis.paramedir import (
     read_profiles_csv,
     write_profiles_csv,
 )
-from repro.apps import APP_NAMES, get_app
+from repro.apps import ALL_APP_NAMES, APP_NAMES, get_app
 from repro.errors import ConfigError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import run_resilience_sweep
@@ -52,8 +52,8 @@ def parse_size(text: str) -> int:
 
 def _app_argument(parser: argparse.ArgumentParser, positional: bool = True):
     kwargs = dict(
-        choices=APP_NAMES,
-        help=f"application model ({', '.join(APP_NAMES)})",
+        choices=ALL_APP_NAMES,
+        help=f"application model ({', '.join(ALL_APP_NAMES)})",
     )
     if positional:
         parser.add_argument("app", **kwargs)
@@ -348,11 +348,6 @@ def experiment_main(argv: list[str] | None = None) -> int:
                         help="shared-plane transport: POSIX shared "
                         "memory segments (default) or mmap-able "
                         "on-disk .npy directories")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        metavar="N",
-                        help="grid cells per pool submission (default: "
-                        "auto-sized from the grid and -j; 1 whenever "
-                        "--timeout is set)")
 
     def run(args) -> None:
         apps = [get_app(name) for name in args.apps]
@@ -378,7 +373,6 @@ def experiment_main(argv: list[str] | None = None) -> int:
             circuit_threshold=args.circuit_threshold,
             shared_plane=args.shared_plane,
             plane_backend=args.plane_backend,
-            batch_size=args.batch_size,
         )
         if sweep.resumed:
             print(
@@ -526,8 +520,7 @@ def online_main(argv: list[str] | None = None) -> int:
         "score the session (migration cost included) against the "
         "matched one-shot placement.",
     )
-    parser.add_argument("app", choices=(*APP_NAMES, "phaseshift"),
-                        help="application model")
+    _app_argument(parser)
     parser.add_argument("--budget", type=parse_size, required=True,
                         help="fast-tier budget per rank, e.g. 32M")
     parser.add_argument("--strategy", default="misses-0%",

@@ -11,7 +11,6 @@ and reach the same verdicts.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from repro.errors import (
     TransientMigrationError,
 )
 from repro.faults.plan import FaultPlan
+from repro.retry import seeded_unit as _unit
 from repro.runtime.callstack import RawCallStack
 from repro.trace.columnar import EVENT_COLUMNS, KIND_SAMPLE, ColumnarTrace
 
@@ -44,12 +44,6 @@ WINDOW_FATES: tuple[str, ...] = (WINDOW_DROP, WINDOW_CORRUPT, WINDOW_LATE)
 MIGRATION_OK = "ok"
 MIGRATION_TRANSIENT = "transient"
 MIGRATION_DETERMINISTIC = "deterministic"
-
-
-def _unit(seed: int, *tokens: object) -> float:
-    """Deterministic uniform draw in [0, 1) keyed on ``tokens``."""
-    digest = hashlib.sha256(repr((seed, tokens)).encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 class FaultInjector:

@@ -42,7 +42,7 @@ scale):
   back to its prior tier — the applied placement, the hysteresis
   filter and the charged ``migrated_bytes`` stay consistent by
   construction. Repeated deterministic failures open a migration
-  circuit breaker (the PR 4 :class:`CircuitBreaker`): further
+  circuit breaker (:class:`repro.retry.CircuitBreaker`): further
   migrations freeze while advice continues.
 * **Crashes.** With a checkpoint directory the daemon persists its
   full state after every window (:mod:`repro.online.checkpoint`);
@@ -83,7 +83,6 @@ from repro.faults.injector import (
     WINDOW_LATE,
     WINDOW_OK,
     FaultInjector,
-    _unit,
 )
 from repro.machine.performance import MIGRATION_BANDWIDTH_DEFAULT
 from repro.online.checkpoint import (
@@ -100,7 +99,7 @@ from repro.online.migration import (
     MigrationFailure,
     diff_placements,
 )
-from repro.parallel.supervisor import CircuitBreaker
+from repro.retry import CircuitBreaker, backoff_delay
 
 #: Default window count (referenced by the mutual-exclusion check:
 #: setting ``window_seconds`` together with a *non-default*
@@ -569,19 +568,11 @@ class OnlineDaemon:
         self, attempt_done: int, site: str, direction: str, window: int
     ) -> float:
         """Decorrelated-jitter delay before the next migration attempt
-        (the PR 4 sweep backoff, keyed per action)."""
-        base = self.config.migration_backoff_seconds
-        if base <= 0:
-            return 0.0
-        cap = base * 32
-        sleep = base
-        for i in range(1, attempt_done + 1):
-            u = _unit(
-                self._fault_seed, "migration-backoff", site, direction,
-                window, i,
-            )
-            sleep = min(cap, base + u * max(0.0, 3.0 * sleep - base))
-        return sleep
+        (the sweep's backoff, keyed per action)."""
+        return backoff_delay(
+            self.config.migration_backoff_seconds, attempt_done,
+            self._fault_seed, "migration-backoff", site, direction, window,
+        )
 
     def _execute_migration(
         self, site: str, direction: str, window: int

@@ -7,7 +7,7 @@ from repro.parallel.journal import (
     read_journal,
 )
 from repro.parallel.result_cache import ResultCache, cell_cache_key
-from repro.parallel.supervisor import CircuitBreaker, WorkerSupervisor
+from repro.parallel.supervisor import WorkerSupervisor
 from repro.parallel.sweep import (
     CellOutcome,
     SweepConfig,
@@ -15,6 +15,7 @@ from repro.parallel.sweep import (
     SweepResult,
     run_sweep,
 )
+from repro.retry import CircuitBreaker
 
 __all__ = [
     "SPMDJob",

@@ -1,141 +1,108 @@
-"""Worker supervision for the sweep executor.
+"""Worker processes for the sweep executor.
 
-``ProcessPoolExecutor`` cannot kill an individual hung worker — a cell
-stuck in an infinite loop (or a worker frozen by SIGSTOP) blocks its
-slot forever and a SIGKILLed worker poisons the whole pool. The
-supervisor therefore owns its workers directly: each is a
-``multiprocessing.Process`` driven over a duplex pipe, executing one
-cell at a time, with a daemon thread emitting heartbeats so the parent
-can tell *frozen* from *slow*.
+The supervisor owns its workers directly, so it can kill and replace
+any one of them: each is a ``multiprocessing.Process`` driven over a
+duplex pipe. A worker executes one batch of same-application cells at
+a time and answers with one ``(row, error, category, metrics)`` tuple
+per cell; the parent keeps at most one more batch queued per worker,
+handed over the moment the worker's answer is read, so the worker
+computes while the parent journals and caches what it just returned.
+Queued batches wait in the parent, not in a worker's pipe, so
+whichever worker frees up first takes the next one: batches differ
+in cost, and a batch pinned behind a slow one would leave its
+neighbour idle.
 
 The parent's supervision state machine, per worker::
 
-    spawned -> ready -> busy(cell, deadline) -> idle -> ...
-                |            |
-                |            +-- deadline exceeded --> killed, cell requeued
-                |            +-- heartbeat stale ----> killed, cell requeued
-                +-- process died (EOF/!is_alive) ----> cell requeued
+    spawned -> idle -> busy(batch, limit) -> idle -> ...
+                         |
+                         +-- timeout exceeded ---> killed, cells fail (timeout)
+                         +-- deadline exceeded --> killed, batch requeued
+                         +-- process died (EOF) -> batch requeued
 
-Requeues are *bounded* (``requeue_budget`` per dispatched cell); a
-cell that outlives the budget is surfaced as a terminal
-:class:`CellAborted` event carrying a transient-category error, so the
-sweep records an honest failure instead of looping forever. Killed and
-dead workers are replaced immediately, keeping the pool at strength.
+A batch's time limit is ``timeout_seconds`` (or ``cell_deadline``,
+whichever is shorter) per cell; the sweep pins batches to one cell
+whenever either is set. A timeout is an in-band failure: the cells
+settle as transient errors and the sweep retries them under its
+``retries``. Any other loss requeues the batch, *bounded* by
+``requeue_budget``; a batch that outlives the budget surfaces as
+terminal :class:`CellAborted` events carrying a transient-category
+error, so the sweep records an honest failure instead of looping
+forever. Killed and dead workers are replaced immediately, keeping
+the pool at strength.
 
 Execution is at-least-once: a worker killed in the instant between
-finishing a cell and the parent reading its result causes one wasted
+finishing a batch and the parent reading its answer causes one wasted
 re-execution, but outcomes settle exactly once (the dead worker's pipe
 is never read again).
-
-:class:`CircuitBreaker` is the complementary guard for *deterministic*
-failure: when an application's cells keep failing with
-``deterministic``-category errors across workers, its circuit opens
-and the executor refuses the app's remaining cells outright instead of
-grinding every one through its full retry schedule.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any
 
 from repro.errors import (
-    CATEGORY_DETERMINISTIC,
-    CATEGORY_POISONED,
+    CATEGORY_TRANSIENT,
     CellDeadlineError,
     ConfigError,
     WorkerCrashError,
 )
+from repro.parallel.watchdog import start_orphan_watchdog
 
-#: Requeue reasons (also used as metric counter names by the sweep).
+#: Worker-loss reasons (also used as metric counter names by the sweep).
 REASON_CRASH = "worker_crash"
 REASON_DEADLINE = "deadline_kill"
-REASON_STALLED = "worker_stalled"
+REASON_TIMEOUT = "timeout"
 
 
-def _supervised_worker_main(
-    conn, machine, seed, plan, heartbeat_interval: float,
-    plane_handles: dict | None = None,
-) -> None:
-    """Worker loop: recv cell, ack, execute, send result, repeat.
-
-    A daemon thread heartbeats on the same pipe (send is locked) so
-    the parent sees liveness even while a cell computes; the beats
-    stop only when the process itself stops scheduling threads — which
-    is exactly the failure the stall detector exists for.
+def _worker_main(conn, machine, seed, plan, plane_handles: dict) -> None:
+    """Worker loop: receive a batch, execute its cells, send the
+    answers, repeat until the parent sends ``None``.
 
     ``plane_handles`` (application name -> plane handle) lets each
     cell reconstruct its framework from the host's shared trace plane
     instead of re-profiling; apps without a handle — or with a torn
-    plane — materialise privately, exactly like the pool path.
+    plane — materialise privately. A cell that raises ``SystemExit``
+    ends the process, which the parent handles as a crashed worker.
     """
     # Imported here, not at module top: repro.parallel.sweep imports
     # this module, and the worker needs sweep's _execute_cell.
     from repro.parallel.sweep import _execute_cell
-    from repro.parallel.watchdog import start_orphan_watchdog
 
     start_orphan_watchdog()
     frameworks: dict = {}
-    plane_handles = plane_handles or {}
-    send_lock = threading.Lock()
-    stop_beating = threading.Event()
-
-    def beat() -> None:
-        while not stop_beating.wait(heartbeat_interval):
-            try:
-                with send_lock:
-                    conn.send(("beat", time.monotonic()))
-            except (BrokenPipeError, OSError):
-                return
-
-    threading.Thread(target=beat, daemon=True).start()
     try:
-        with send_lock:
-            conn.send(("ready", os.getpid()))
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            _, task_id, app, cell, attempt = message
-            with send_lock:
-                conn.send(("start", task_id))
-            row, error, category, metrics = _execute_cell(
-                app,
-                machine,
-                cell,
-                seed,
-                frameworks=frameworks,
-                plan=plan,
-                attempt=attempt,
-                plane=plane_handles.get(app.name),
+        while (message := conn.recv()) is not None:
+            app, cells, attempts = message
+            plane = plane_handles.get(app.name)
+            conn.send(
+                [
+                    _execute_cell(
+                        app, machine, cell, seed, frameworks, plan, attempt,
+                        plane=plane,
+                    )
+                    for cell, attempt in zip(cells, attempts)
+                ]
             )
-            with send_lock:
-                conn.send(("done", task_id, row, error, category, metrics))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
-    finally:
-        stop_beating.set()
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 @dataclass
-class TaskSpec:
-    """One dispatched cell, as the supervisor tracks it."""
+class Batch:
+    """Same-application cells dispatched to one worker together."""
 
-    task_id: int
     app: Any
-    cell: Any
-    #: Attempt number passed to the worker; bumped on every requeue so
-    #: seeded fault injection sees requeues as fresh attempts.
-    attempt: int
+    task_ids: list[int]
+    cells: list
+    #: Attempt number per cell, passed to the worker; bumped on every
+    #: requeue so seeded fault injection sees requeues as fresh attempts.
+    attempts: list[int]
     requeues: int = 0
 
 
@@ -146,10 +113,9 @@ class WorkerHandle:
     ident: int
     proc: multiprocessing.Process
     conn: Any
-    task: TaskSpec | None = None
-    deadline: float | None = None
-    last_beat: float = field(default_factory=time.monotonic)
-    cells_done: int = 0
+    batch: Batch | None = None
+    #: Monotonic time by which the batch must be answered.
+    limit: float | None = None
 
 
 # -- events the poll loop emits --------------------------------------------
@@ -157,7 +123,7 @@ class WorkerHandle:
 
 @dataclass
 class CellResult:
-    """A worker finished a cell (successfully or not) in-band."""
+    """A cell finished (successfully or not) in-band."""
 
     task_id: int
     row: Any
@@ -196,9 +162,8 @@ class WorkerSupervisor:
         plan,
         *,
         cell_deadline: float | None = None,
+        timeout_seconds: float | None = None,
         requeue_budget: int = 2,
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: float | None = None,
         plane_handles: dict | None = None,
     ) -> None:
         if jobs < 1:
@@ -211,14 +176,24 @@ class WorkerSupervisor:
         self.machine = machine
         self.seed = seed
         self.plan = plan
-        self.plane_handles = plane_handles
+        self.plane_handles = plane_handles or {}
         self.cell_deadline = cell_deadline
+        self.timeout_seconds = timeout_seconds
         self.requeue_budget = requeue_budget
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
+        #: (seconds per cell, loss reason) of the tighter time limit;
+        #: a timeout wins a tie.
+        limits = [
+            (seconds, reason)
+            for seconds, reason in (
+                (timeout_seconds, REASON_TIMEOUT),
+                (cell_deadline, REASON_DEADLINE),
+            )
+            if seconds is not None
+        ]
+        self._limit = min(limits, key=lambda l: l[0]) if limits else None
         self._ctx = multiprocessing.get_context()
         self.workers: dict[int, WorkerHandle] = {}
-        self._queue: deque[TaskSpec] = deque()
+        self._queue: deque[Batch] = deque()
         self._next_worker = 0
         self._next_task = 0
         #: Workers killed/lost, by reason (observability roll-up).
@@ -234,7 +209,7 @@ class WorkerSupervisor:
         """Shut every worker down, escalating politely-then-SIGKILL."""
         for handle in self.workers.values():
             try:
-                handle.conn.send(("stop",))
+                handle.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         for handle in self.workers.values():
@@ -242,10 +217,7 @@ class WorkerSupervisor:
             if handle.proc.is_alive():
                 handle.proc.kill()
                 handle.proc.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            handle.conn.close()
         self.workers.clear()
         self._queue.clear()
 
@@ -256,16 +228,15 @@ class WorkerSupervisor:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _spawn(self) -> WorkerHandle:
+    def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_supervised_worker_main,
+            target=_worker_main,
             args=(
                 child_conn,
                 self.machine,
                 self.seed,
                 self.plan,
-                self.heartbeat_interval,
                 self.plane_handles,
             ),
             daemon=True,
@@ -277,189 +248,137 @@ class WorkerSupervisor:
         )
         self._next_worker += 1
         self.workers[handle.ident] = handle
-        return handle
 
     # -- feeding --------------------------------------------------------
 
     @property
-    def inflight(self) -> int:
-        return sum(1 for w in self.workers.values() if w.task is not None)
-
-    @property
     def capacity(self) -> int:
-        """Cells the supervisor can absorb right now without queueing
-        behind a busy worker (requeued cells take priority)."""
-        return max(0, len(self.workers) - self.inflight - len(self._queue))
+        """Batches the supervisor accepts right now: one running and
+        one queued per worker (requeued batches count against it)."""
+        busy = sum(1 for w in self.workers.values() if w.batch is not None)
+        return max(0, 2 * len(self.workers) - busy - len(self._queue))
 
-    def submit(self, app, cell, attempt: int) -> int:
-        """Accept one cell; returns its task id."""
-        task = TaskSpec(
-            task_id=self._next_task, app=app, cell=cell, attempt=attempt
-        )
-        self._next_task += 1
-        self._queue.append(task)
+    def submit(self, app, cells: list, attempts: list[int]) -> list[int]:
+        """Accept one batch of ``app``'s cells; returns a task id per
+        cell, in order."""
+        task_ids = list(range(self._next_task, self._next_task + len(cells)))
+        self._next_task += len(cells)
+        self._queue.append(Batch(app, task_ids, list(cells), list(attempts)))
         self._dispatch()
-        return task.task_id
+        return task_ids
 
     def _dispatch(self) -> None:
         for handle in self.workers.values():
             if not self._queue:
                 return
-            if handle.task is not None or not handle.proc.is_alive():
+            if handle.batch is not None:
                 continue
-            task = self._queue.popleft()
+            batch = self._queue.popleft()
             try:
-                handle.conn.send(
-                    ("cell", task.task_id, task.app, task.cell, task.attempt)
-                )
+                handle.conn.send((batch.app, batch.cells, batch.attempts))
             except (BrokenPipeError, OSError):
-                # Dead worker discovered at dispatch: put the task
+                # Dead worker discovered at dispatch: put the batch
                 # back; the poll loop reaps and replaces the worker.
-                self._queue.appendleft(task)
+                self._queue.appendleft(batch)
                 continue
-            handle.task = task
-            # The clock starts at dispatch (not at the worker's ack),
-            # so a worker dead-on-arrival still trips the deadline.
-            handle.deadline = (
-                time.monotonic() + self.cell_deadline
-                if self.cell_deadline is not None
-                else None
-            )
+            handle.batch = batch
+            # The clock starts at dispatch (not when the worker picks
+            # the batch up), so a worker dead-on-arrival still trips it.
+            if self._limit is not None:
+                handle.limit = (
+                    time.monotonic() + self._limit[0] * len(batch.cells)
+                )
 
     # -- supervision ----------------------------------------------------
 
-    def _lose_worker(
-        self, handle: WorkerHandle, reason: str
-    ) -> list[CellRequeued | CellAborted]:
-        """Reap one lost worker: requeue/abort its cell, replace it."""
+    def _lose_worker(self, handle: WorkerHandle, reason: str) -> list:
+        """Reap one lost worker, replace it, and settle its batch: a
+        timeout fails the cells in-band, any other loss requeues the
+        batch or, past the budget, aborts it."""
         self.losses[reason] = self.losses.get(reason, 0) + 1
-        self.workers.pop(handle.ident, None)
+        del self.workers[handle.ident]
         if handle.proc.is_alive():
             handle.proc.kill()
         handle.proc.join(timeout=1.0)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        events: list[CellRequeued | CellAborted] = []
-        task = handle.task
-        if task is not None:
-            if task.requeues < self.requeue_budget:
-                task.requeues += 1
-                task.attempt += 1
-                self._queue.appendleft(task)
-                events.append(
-                    CellRequeued(task.task_id, reason, task.requeues)
-                )
-            else:
-                if reason == REASON_DEADLINE:
-                    exc: Exception = CellDeadlineError(
-                        f"cell exceeded its {self.cell_deadline}s deadline "
-                        f"on {task.requeues + 1} worker(s); worker killed"
-                    )
-                else:
-                    exc = WorkerCrashError(
-                        f"worker died executing the cell ({reason}); "
-                        f"requeue budget ({self.requeue_budget}) exhausted"
-                    )
-                events.append(
-                    CellAborted(
-                        task.task_id, str(exc), exc.category, reason
-                    )
-                )
+        handle.conn.close()
         self._spawn()
-        return events
+        batch = handle.batch
+        if batch is None:
+            return []
+        if reason == REASON_TIMEOUT:
+            error = (
+                f"timeout: attempt exceeded {self.timeout_seconds}s; "
+                "worker killed"
+            )
+            return [
+                CellResult(
+                    task_id, None, error, CATEGORY_TRANSIENT,
+                    {"counters": {"timeout": 1}},
+                )
+                for task_id in batch.task_ids
+            ]
+        if batch.requeues < self.requeue_budget:
+            batch.requeues += 1
+            batch.attempts = [attempt + 1 for attempt in batch.attempts]
+            self._queue.appendleft(batch)
+            return [
+                CellRequeued(task_id, reason, batch.requeues)
+                for task_id in batch.task_ids
+            ]
+        if reason == REASON_DEADLINE:
+            exc: Exception = CellDeadlineError(
+                f"cell exceeded its {self.cell_deadline}s deadline "
+                f"on {batch.requeues + 1} worker(s); worker killed"
+            )
+        else:
+            exc = WorkerCrashError(
+                f"worker died executing the cell ({reason}); "
+                f"requeue budget ({self.requeue_budget}) exhausted"
+            )
+        return [
+            CellAborted(task_id, str(exc), exc.category, reason)
+            for task_id in batch.task_ids
+        ]
 
-    def poll(self, timeout: float = 0.1) -> list:
-        """Advance the world: dispatch, wait, reap. Returns events."""
+    def _receive(self, handle: WorkerHandle) -> list:
+        """Read a worker's answer if one is waiting; a closed pipe
+        means the worker died."""
+        try:
+            if not handle.conn.poll():
+                return []
+            answers = handle.conn.recv()
+        except (EOFError, OSError):
+            return self._lose_worker(handle, REASON_CRASH)
+        batch, handle.batch, handle.limit = handle.batch, None, None
+        return [
+            CellResult(task_id, *answer)
+            for task_id, answer in zip(batch.task_ids, answers)
+        ]
+
+    def poll(self, timeout: float | None = None) -> list:
+        """Wait up to ``timeout`` seconds (None: until a worker answers
+        or dies) but never past the nearest time limit; read answers,
+        reap lost and overdue workers, refill idle ones. Returns the
+        events."""
         self._dispatch()
-        events: list = []
-        now = time.monotonic()
-        # Wake early enough to enforce the nearest deadline.
-        wake = now + timeout
-        for handle in self.workers.values():
-            if handle.deadline is not None:
-                wake = min(wake, handle.deadline)
-            if self.heartbeat_timeout is not None:
-                wake = min(wake, handle.last_beat + self.heartbeat_timeout)
+        limits = [w.limit for w in self.workers.values() if w.limit]
+        if limits:
+            until = min(limits) - time.monotonic()
+            timeout = until if timeout is None else min(timeout, until)
         conns = {w.conn: w for w in self.workers.values()}
-        ready = multiprocessing.connection.wait(
-            list(conns), timeout=max(0.0, wake - now)
+        ready = wait(
+            list(conns), timeout=None if timeout is None else max(0.0, timeout)
         )
-        dead: list[WorkerHandle] = []
+        events: list = []
         for conn in ready:
-            handle = conns[conn]
-            try:
-                while conn.poll():
-                    events.extend(self._handle_message(handle, conn.recv()))
-            except (EOFError, OSError):
-                dead.append(handle)
+            events.extend(self._receive(conns[conn]))
         now = time.monotonic()
         for handle in list(self.workers.values()):
-            if handle in dead or not handle.proc.is_alive():
-                events.extend(self._lose_worker(handle, REASON_CRASH))
-            elif (
-                handle.task is not None
-                and handle.deadline is not None
-                and now > handle.deadline
-            ):
-                # Salvage a result that landed after the drain above
-                # but before the kill — cheap, and avoids one wasted
-                # re-execution.
-                try:
-                    while handle.conn.poll():
-                        events.extend(
-                            self._handle_message(handle, handle.conn.recv())
-                        )
-                except (EOFError, OSError):
-                    events.extend(self._lose_worker(handle, REASON_CRASH))
-                    continue
-                if handle.task is not None:
-                    events.extend(self._lose_worker(handle, REASON_DEADLINE))
-            elif (
-                self.heartbeat_timeout is not None
-                and now - handle.last_beat > self.heartbeat_timeout
-            ):
-                events.extend(self._lose_worker(handle, REASON_STALLED))
+            if handle.limit is not None and now > handle.limit:
+                # Salvage an answer that landed after the wait — cheap,
+                # and avoids one wasted re-execution.
+                events.extend(self._receive(handle))
+                if handle.batch is not None and handle.ident in self.workers:
+                    events.extend(self._lose_worker(handle, self._limit[1]))
         self._dispatch()
         return events
-
-    def _handle_message(self, handle: WorkerHandle, message: tuple) -> list:
-        kind = message[0]
-        handle.last_beat = time.monotonic()
-        if kind == "done":
-            _, task_id, row, error, category, metrics = message
-            if handle.task is None or handle.task.task_id != task_id:
-                return []  # stale message from an already-reaped task
-            handle.task = None
-            handle.deadline = None
-            handle.cells_done += 1
-            return [CellResult(task_id, row, error, category, metrics)]
-        # "ready", "start" and "beat" are pure liveness signals.
-        return []
-
-
-class CircuitBreaker:
-    """Per-application deterministic-failure circuit.
-
-    Counts cells that *finally* failed with a ``deterministic`` or
-    ``poisoned-input`` category (transient faults never count). Once
-    an application accumulates ``threshold`` such failures its circuit
-    opens and the executor refuses its remaining cells, bounding the
-    cost of an application model that is simply broken.
-    """
-
-    def __init__(self, threshold: int | None) -> None:
-        if threshold is not None and threshold < 1:
-            raise ConfigError("circuit threshold must be >= 1")
-        self.threshold = threshold
-        self.failures: dict[str, int] = {}
-
-    def record_failure(self, application: str, category: str | None) -> None:
-        if category in (CATEGORY_DETERMINISTIC, CATEGORY_POISONED):
-            self.failures[application] = self.failures.get(application, 0) + 1
-
-    def is_open(self, application: str) -> bool:
-        if self.threshold is None:
-            return False
-        return self.failures.get(application, 0) >= self.threshold

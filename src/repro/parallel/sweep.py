@@ -19,12 +19,12 @@ profiling run) per application, while the parent
   count, decorrelated-jitter backoff) keyed off the structured error
   taxonomy (:mod:`repro.errors`): transient and deterministic failures
   retry, poisoned-input failures fail immediately;
-* with a ``cell_deadline`` set, runs cells under the
-  :class:`WorkerSupervisor` — heartbeat-tracked worker processes whose
-  hung or dead members are killed and replaced, their cells requeued
-  within a bounded budget; repeated deterministic failures trip a
-  per-application :class:`CircuitBreaker` that refuses the app's
-  remaining cells;
+* owns its workers through the :class:`WorkerSupervisor`: a worker
+  whose cell overruns ``timeout_seconds`` is killed and the cell
+  retried; one that overruns ``cell_deadline`` or dies is replaced and
+  its cells requeued within a bounded budget; repeated deterministic
+  failures trip a per-application :class:`CircuitBreaker` that
+  refuses the app's remaining cells;
 * enforces an optional error budget: once the budget of failed cells
   is spent, remaining cells are recorded as skipped (fail-fast);
 * merges every per-cell :class:`StageMetrics` record into one
@@ -36,14 +36,15 @@ profiling run) per application, while the parent
   frameworks from the shared profile instead of re-profiling. A
   worker that finds the plane torn or missing falls back to private
   materialisation (counted, never a failed cell);
-* batches several same-application cells per pool submission
-  (``batch_size``, auto-sized from grid and jobs) so IPC and
-  result-collection overhead amortise — journal intents, cache
-  answers, retries, deadlines and circuit breakers all stay per-cell.
+* batches several same-application cells per dispatch (auto-sized
+  from grid and jobs) so IPC and result-collection overhead amortise —
+  journal intents, cache answers, retries, deadlines and circuit
+  breakers all stay per-cell.
 
-``jobs=1`` runs the same scheduler in-process (no pool), so the
-serial and parallel paths share every line of cell-execution code.
-A :class:`~repro.faults.plan.FaultPlan` attached to the config is
+One scheduling loop drives every sweep: ``jobs=1`` runs it over an
+in-process executor instead of worker processes, so the serial and
+parallel paths share every line of scheduling and cell-execution
+code. A :class:`~repro.faults.plan.FaultPlan` attached to the config is
 reconstructed identically inside every worker (it travels by value),
 so a faulted sweep is bit-reproducible across serial and parallel
 execution — and across the shared-plane path, because the parent
@@ -52,12 +53,10 @@ publishes the trace *after* applying the plan's profile degradation.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,12 +82,14 @@ from repro.parallel.result_cache import (
     cell_cache_key,
     content_hash,
 )
+# ``wait`` is the call the parent blocks in while workers run; it is
+# bound here too so that tracing can wrap it by this module's name.
 from repro.parallel.supervisor import (
     CellAborted,
     CellRequeued,
     CellResult,
-    CircuitBreaker,
     WorkerSupervisor,
+    wait,
 )
 from repro.pipeline.experiment import (
     ExperimentGrid,
@@ -100,7 +101,7 @@ from repro.pipeline.experiment import (
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.pipeline.metrics import StageMetrics
 from repro.pipeline.results import ExperimentResult, ResultRow
-from repro.parallel.watchdog import start_orphan_watchdog
+from repro.retry import CircuitBreaker, backoff_delay
 from repro.trace.shared import (
     BACKENDS,
     PlaneHandle,
@@ -120,7 +121,7 @@ CIRCUIT_ERROR_PREFIX = "skipped: circuit open"
 class SweepConfig:
     """Execution knobs of one sweep."""
 
-    #: Worker processes; 1 executes in-process (no pool).
+    #: Worker processes; 1 executes in-process (no workers).
     jobs: int = 1
     #: Result-cache directory; None disables caching.
     cache_dir: str | Path | None = None
@@ -134,7 +135,9 @@ class SweepConfig:
     #: jitter delay seeded per cell (0 disables backoff).
     backoff_seconds: float = 0.0
     #: Wall-clock limit per cell attempt; an attempt exceeding it is
-    #: treated as a failure (and retried). None: no limit.
+    #: treated as a transient failure (and retried). With ``jobs > 1``
+    #: the overrunning worker is killed and replaced; serially the
+    #: limit is enforced post hoc. None: no limit.
     timeout_seconds: float | None = None
     #: After this many cells have *finally* failed, stop executing and
     #: record every remaining cell as skipped. None: run everything.
@@ -148,10 +151,10 @@ class SweepConfig:
     #: Replay settled cells from an existing journal in
     #: ``journal_dir`` and execute only the unfinished remainder.
     resume: bool = False
-    #: Wall-clock deadline per dispatched cell. With ``jobs > 1`` this
-    #: engages the worker supervisor: a worker whose cell overruns the
-    #: deadline is killed and the cell requeued. Serially it is
-    #: enforced post-hoc (like ``timeout_seconds``).
+    #: Wall-clock deadline per dispatched cell. With ``jobs > 1`` a
+    #: worker whose cell overruns the deadline is killed and the cell
+    #: requeued. Serially it is enforced post hoc (like
+    #: ``timeout_seconds``).
     cell_deadline: float | None = None
     #: Requeues granted to a cell whose worker died or was killed
     #: (out-of-band failures — distinct from ``retries``, which
@@ -169,10 +172,6 @@ class SweepConfig:
     #: (uncompressed on-disk columnar container; the page cache shares
     #: one physical copy).
     plane_backend: str = "shm"
-    #: Cells per pool submission. ``None`` auto-sizes from grid and
-    #: jobs — and pins the batch to 1 whenever ``timeout_seconds`` is
-    #: set, so the per-attempt timeout keeps its per-cell meaning.
-    batch_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -198,8 +197,6 @@ class SweepConfig:
                 f"unknown plane backend {self.plane_backend!r}; "
                 f"have {BACKENDS}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass
@@ -271,13 +268,13 @@ class SweepResult:
 # worker side
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process framework memo: (app name, machine name, seed,
-#: fault plan, plane key) -> HybridMemoryFramework. Raw addresses and
-#: profiling runs are only meaningful within one process (ASLR), so
-#: the memo — like the paper's per-process decision cache — never
-#: crosses the pool. The plan is part of the key because it shapes the
-#: memoised (possibly degraded) profiling run.
-_WORKER_FRAMEWORKS: dict[tuple, HybridMemoryFramework] = {}
+#: A framework memo maps (app name, machine name, seed, fault plan,
+#: plane key) -> HybridMemoryFramework. Each worker process (and each
+#: in-process sweep) keeps its own: raw addresses and profiling runs
+#: are only meaningful within one process (ASLR), so the memo — like
+#: the paper's per-process decision cache — never crosses processes.
+#: The plan is part of the key because it shapes the memoised
+#: (possibly degraded) profiling run.
 
 #: Entries the framework memo may hold before the least-recently-used
 #: one is evicted. Long sweeps over many apps × plans would otherwise
@@ -318,20 +315,19 @@ def _execute_cell(
     machine: MachineConfig,
     cell: GridCell,
     seed: int,
-    frameworks: dict | None = None,
+    frameworks: dict,
     plan: FaultPlan | None = None,
     attempt: int = 1,
     plane: PlaneHandle | None = None,
 ) -> tuple[ResultRow | None, str | None, str | None, dict]:
-    """Run one cell; never raises (the pool must stay healthy).
+    """Run one cell; never raises a cell failure (the worker must stay
+    healthy).
 
     Returns ``(row, traceback_text, category, metrics_dict)`` — the
     category is the failure-taxonomy bucket of the captured exception
     (None on success) and the metrics cover only the stages this call
     actually executed, so the parent can sum them into a truthful
-    sweep total. ``frameworks`` is the framework memo to use; pool
-    workers default to the process-global one, the in-process serial
-    path passes a per-sweep dict.
+    sweep total. ``frameworks`` is the caller's framework memo.
 
     With a ``plane`` handle, a missing framework is reconstructed
     around the host's shared trace instead of re-profiling
@@ -339,7 +335,6 @@ def _execute_cell(
     private materialisation (``plane_fallback`` counted) — never to a
     failed cell.
     """
-    memo = _WORKER_FRAMEWORKS if frameworks is None else frameworks
     key = (
         app.name,
         machine.name,
@@ -347,7 +342,7 @@ def _execute_cell(
         plan,
         plane.key if plane is not None else None,
     )
-    framework = _memo_get(memo, key)
+    framework = _memo_get(frameworks, key)
     plane_counter = None
     evictions = 0
     if framework is None:
@@ -368,7 +363,7 @@ def _execute_cell(
             framework = HybridMemoryFramework(
                 app, machine, seed=seed, fault_plan=plan
             )
-        evictions = _memo_put(memo, key, framework)
+        evictions = _memo_put(frameworks, key, framework)
     framework.metrics = StageMetrics()
     if plane_counter is not None:
         framework.metrics.bump(plane_counter)
@@ -408,42 +403,80 @@ def _execute_cell(
         )
 
 
-def _execute_batch(
-    app: SimApplication,
-    machine: MachineConfig,
-    cells: list[GridCell],
-    seed: int,
-    plan: FaultPlan | None = None,
-    attempts: list[int] | None = None,
-    plane: PlaneHandle | None = None,
-) -> list[tuple[ResultRow | None, str | None, str | None, dict]]:
-    """Run a batch of same-application cells in one worker call.
+class InProcessWorkers:
+    """The :class:`WorkerSupervisor` interface, run in the calling
+    process: the executor of a ``jobs=1`` sweep.
 
-    Batching amortises pool IPC — one submit and one result per batch
-    instead of per cell — without changing per-cell semantics: every
-    cell still runs through :func:`_execute_cell` and yields its own
-    ``(row, error, category, metrics)`` tuple, so the parent settles,
-    caches, journals and retries each cell individually.
+    A submitted cell runs when polled, through the same
+    :func:`_execute_cell` a worker runs. Nothing here can preempt a
+    cell, so ``timeout_seconds`` and ``cell_deadline`` are enforced
+    post hoc: an attempt over either limit is a transient failure
+    even if it produced a row. ``SystemExit`` and
+    ``KeyboardInterrupt`` unwind through the sweep.
     """
-    if attempts is None:
-        attempts = [1] * len(cells)
-    return [
-        _execute_cell(
-            app, machine, cell, seed, None, plan, attempt, plane=plane
-        )
-        for cell, attempt in zip(cells, attempts)
-    ]
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        seed: int,
+        plan: FaultPlan | None,
+        timeout_seconds: float | None = None,
+        cell_deadline: float | None = None,
+    ) -> None:
+        self.machine = machine
+        self.seed = seed
+        self.plan = plan
+        #: (limit, error label, counter), checked in this order.
+        self._limits = [
+            (limit, label, counter)
+            for limit, label, counter in (
+                (timeout_seconds, "timeout", "timeout"),
+                (cell_deadline, "deadline", "deadline_exceeded"),
+            )
+            if limit is not None
+        ]
+        self._frameworks: dict = {}
+        self._queue: deque = deque()
+        self._next_task = 0
+
+    @property
+    def capacity(self) -> int:
+        return 0 if self._queue else 1
+
+    def submit(self, app, cells: list, attempts: list[int]) -> list[int]:
+        task_ids = list(range(self._next_task, self._next_task + len(cells)))
+        self._next_task += len(cells)
+        self._queue.extend(zip(task_ids, [app] * len(cells), cells, attempts))
+        return task_ids
+
+    def poll(self, timeout: float | None = None) -> list[CellResult]:
+        """Run every queued cell; ``timeout`` is moot in-process."""
+        events = []
+        while self._queue:
+            task_id, app, cell, attempt = self._queue.popleft()
+            start = time.monotonic()
+            row, error, category, metrics = _execute_cell(
+                app, self.machine, cell, self.seed, self._frameworks,
+                self.plan, attempt,
+            )
+            elapsed = time.monotonic() - start
+            for limit, label, counter in self._limits:
+                if elapsed > limit:
+                    row, category = None, CATEGORY_TRANSIENT
+                    error = (
+                        f"{label}: attempt took {elapsed:.3f}s "
+                        f"(limit {limit}s)"
+                    )
+                    counters = metrics["counters"]
+                    counters[counter] = counters.get(counter, 0) + 1
+                    break
+            events.append(CellResult(task_id, row, error, category, metrics))
+        return events
 
 
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
-
-
-def _jitter_unit(seed: int, *tokens: object) -> float:
-    """Deterministic uniform draw in [0, 1) keyed on ``tokens``."""
-    digest = hashlib.sha256(repr((seed, tokens)).encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 class SweepExecutor:
@@ -547,26 +580,7 @@ class SweepExecutor:
                 )
 
             if pending:
-                if config.jobs == 1:
-                    self._run_serial(pending, result)
-                else:
-                    plane: SharedTracePlane | None = None
-                    planes: dict[str, PlaneHandle] = {}
-                    if config.shared_plane:
-                        plane = SharedTracePlane(
-                            backend=config.plane_backend
-                        )
-                        planes = self._publish_planes(
-                            plane, pending, result
-                        )
-                    try:
-                        if config.cell_deadline is not None:
-                            self._run_supervised(pending, result, planes)
-                        else:
-                            self._run_pool(pending, result, planes)
-                    finally:
-                        if plane is not None:
-                            plane.close()
+                self._execute(pending, result)
 
             result.outcomes.sort(key=lambda o: o.order)
             for outcome in result.outcomes:
@@ -643,22 +657,15 @@ class SweepExecutor:
     # -- execution strategies ------------------------------------------
 
     def _backoff(self, attempt_done: int, token: tuple = ()) -> float:
-        """Delay before the attempt after ``attempt_done`` failed.
-
-        Decorrelated jitter (``sleep_n = U(base, 3 * sleep_{n-1})``,
-        capped) seeded per cell, so cells requeued together after a
-        worker death spread out instead of stampeding the pool in
-        lockstep. Deterministic in the sweep seed and cell identity.
-        """
-        base = self.config.backoff_seconds
-        if base <= 0:
-            return 0.0
-        cap = base * 32
-        sleep = base
-        for i in range(1, attempt_done + 1):
-            u = _jitter_unit(self.config.seed, "backoff", token, i)
-            sleep = min(cap, base + u * max(0.0, 3.0 * sleep - base))
-        return sleep
+        """Delay before the attempt after ``attempt_done`` failed: the
+        :func:`repro.retry.backoff_delay` schedule keyed on the sweep
+        seed and the cell, so cells requeued together after a worker
+        death spread out instead of stampeding the workers in
+        lockstep."""
+        return backoff_delay(
+            self.config.backoff_seconds, attempt_done, self.config.seed,
+            "backoff", token,
+        )
 
     def _finish(
         self,
@@ -770,291 +777,91 @@ class SweepExecutor:
         return handles
 
     def _batch_size(self, n_pending: int, jobs: int) -> int:
-        """Cells per pool submission.
+        """Cells per dispatch.
 
-        Explicit ``batch_size`` wins. Auto mode targets four batches
-        per worker (enough slack for retries and stragglers to
-        interleave, few enough submissions to amortise IPC), capped at
-        32 — and stays at 1 while a per-attempt timeout is set, so the
-        timeout keeps meaning "per cell".
+        Four batches per worker (enough slack for retries and
+        stragglers to interleave, few enough dispatches to amortise
+        IPC), capped at 32. A batch is one cell in-process, where
+        there is no IPC to amortise, and whenever a per-attempt
+        timeout or deadline is set, so the limit keeps meaning "per
+        cell".
         """
         config = self.config
-        if config.batch_size is not None:
-            return config.batch_size
-        if config.timeout_seconds is not None:
+        if (
+            jobs == 1
+            or config.timeout_seconds is not None
+            or config.cell_deadline is not None
+        ):
             return 1
         return max(1, min(32, math.ceil(n_pending / (4 * jobs))))
 
-    def _run_serial(
+    def _execute(
         self,
         pending: list[tuple[SimApplication, CellOutcome, str | None]],
         result: SweepResult,
     ) -> None:
-        frameworks: dict = {}
+        """Run the pending cells on in-process or supervised workers,
+        publishing the shared plane first when one is asked for."""
         config = self.config
-        failures = 0
-        for app, outcome, key in pending:
-            if (
-                config.error_budget is not None
-                and failures >= config.error_budget
-            ):
-                self._skip(result, outcome, key)
-                continue
-            if self._breaker.is_open(app.name):
-                self._skip_circuit(result, outcome, key)
-                continue
-            for _ in range(1 + config.retries):
-                if outcome.attempts > 0:
-                    result.metrics.bump("retry")
-                    delay = self._backoff(
-                        outcome.attempts, (app.name, outcome.cell.key)
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                outcome.attempts += 1
-                start = time.monotonic()
-                row, error, category, metrics = _execute_cell(
-                    app,
-                    self.machine,
-                    outcome.cell,
-                    config.seed,
-                    frameworks=frameworks,
-                    plan=config.fault_plan,
-                    attempt=outcome.attempts,
-                )
-                elapsed = time.monotonic() - start
-                outcome.metrics.merge(StageMetrics.from_dict(metrics))
-                if (
-                    config.timeout_seconds is not None
-                    and elapsed > config.timeout_seconds
-                ):
-                    # The serial path cannot preempt, so the limit is
-                    # enforced post-hoc: an over-budget attempt is a
-                    # failure even if it eventually produced a row.
-                    row = None
-                    error = (
-                        f"timeout: attempt took {elapsed:.3f}s "
-                        f"(limit {config.timeout_seconds}s)"
-                    )
-                    category = CATEGORY_TRANSIENT
-                    outcome.metrics.bump("timeout")
-                elif (
-                    config.cell_deadline is not None
-                    and elapsed > config.cell_deadline
-                ):
-                    row = None
-                    error = (
-                        f"deadline: attempt took {elapsed:.3f}s "
-                        f"(limit {config.cell_deadline}s)"
-                    )
-                    category = CATEGORY_TRANSIENT
-                    outcome.metrics.bump("deadline_exceeded")
-                outcome.row, outcome.error = row, error
-                outcome.category = category
-                if row is not None:
-                    break
-                if category == CATEGORY_POISONED:
-                    # Re-running bad input reproduces the failure.
-                    break
-            if not outcome.ok:
-                failures += 1
-            self._finish(result, outcome, key)
-
-    def _run_pool(
-        self,
-        pending: list[tuple[SimApplication, CellOutcome, str | None]],
-        result: SweepResult,
-        planes: dict[str, PlaneHandle] | None = None,
-    ) -> None:
-        config = self.config
-        planes = planes or {}
         jobs = min(config.jobs, len(pending))
+        if config.jobs == 1:
+            workers = InProcessWorkers(
+                self.machine,
+                config.seed,
+                config.fault_plan,
+                timeout_seconds=config.timeout_seconds,
+                cell_deadline=config.cell_deadline,
+            )
+            self._schedule(workers, pending, result, jobs)
+            return
+        plane = (
+            SharedTracePlane(backend=config.plane_backend)
+            if config.shared_plane
+            else None
+        )
+        try:
+            planes = (
+                self._publish_planes(plane, pending, result)
+                if plane is not None
+                else None
+            )
+            workers = WorkerSupervisor(
+                jobs,
+                self.machine,
+                config.seed,
+                config.fault_plan,
+                cell_deadline=config.cell_deadline,
+                timeout_seconds=config.timeout_seconds,
+                requeue_budget=config.requeue_budget,
+                plane_handles=planes,
+            )
+            with workers:
+                self._schedule(workers, pending, result, jobs)
+        finally:
+            if plane is not None:
+                plane.close()
+
+    def _schedule(
+        self,
+        workers: InProcessWorkers | WorkerSupervisor,
+        pending: list[tuple[SimApplication, CellOutcome, str | None]],
+        result: SweepResult,
+        jobs: int,
+    ) -> None:
+        """The one scheduling loop: feed ``workers`` same-app batches
+        while they have capacity, retry failed cells after their
+        backoff, and settle every cell exactly once — under the error
+        budget and the circuit breaker."""
+        config = self.config
         batch_size = self._batch_size(len(pending), jobs)
         queue = deque(pending)
         #: (ready time, app, outcome, key) waiting out a backoff delay.
-        retry_queue: list[tuple[float, SimApplication, CellOutcome, str | None]] = []
-        failures = 0
-        # The initializer arms the orphan watchdog in every worker: if
-        # this parent is SIGKILL'd mid-sweep, workers self-terminate
-        # instead of idling forever — which is also what lets the
-        # resource tracker unlink a live shared trace plane.
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=start_orphan_watchdog
-        ) as pool:
-            #: future -> (app, [(outcome, key), ...], deadline).
-            inflight: dict = {}
-
-            def budget_exhausted() -> bool:
-                return (
-                    config.error_budget is not None
-                    and failures >= config.error_budget
-                )
-
-            def submit(app, items) -> None:
-                for outcome, _ in items:
-                    outcome.attempts += 1
-                future = pool.submit(
-                    _execute_batch,
-                    app,
-                    self.machine,
-                    [outcome.cell for outcome, _ in items],
-                    config.seed,
-                    config.fault_plan,
-                    [outcome.attempts for outcome, _ in items],
-                    planes.get(app.name),
-                )
-                deadline = (
-                    time.monotonic() + config.timeout_seconds * len(items)
-                    if config.timeout_seconds is not None
-                    else None
-                )
-                inflight[future] = (app, items, deadline)
-
-            def settle(outcome, key, app) -> None:
-                nonlocal failures
-                if outcome.ok:
-                    self._finish(result, outcome, key)
-                    return
-                if (
-                    outcome.category != CATEGORY_POISONED
-                    and outcome.attempts <= config.retries
-                    and not budget_exhausted()
-                ):
-                    result.metrics.bump("retry")
-                    ready = time.monotonic() + self._backoff(
-                        outcome.attempts, (app.name, outcome.cell.key)
-                    )
-                    retry_queue.append((ready, app, outcome, key))
-                    return
-                failures += 1
-                self._finish(result, outcome, key)
-
-            while queue or inflight or retry_queue:
-                now = time.monotonic()
-                if budget_exhausted():
-                    while queue:
-                        _, outcome, key = queue.popleft()
-                        self._skip(result, outcome, key)
-                    # A cell already waiting on a retry keeps its last
-                    # captured error instead of being granted more
-                    # attempts.
-                    for _, _, outcome, key in retry_queue:
-                        failures += 1
-                        self._finish(result, outcome, key)
-                    retry_queue.clear()
-                else:
-                    retry_queue.sort(key=lambda item: item[0])
-                    while (
-                        retry_queue
-                        and retry_queue[0][0] <= now
-                        and len(inflight) < 2 * jobs
-                    ):
-                        # Retries re-dispatch as singleton batches:
-                        # their backoff already de-batched them.
-                        _, app, outcome, key = retry_queue.pop(0)
-                        submit(app, [(outcome, key)])
-                    while queue and len(inflight) < 2 * jobs:
-                        app, outcome, key = queue.popleft()
-                        if self._breaker.is_open(app.name):
-                            self._skip_circuit(result, outcome, key)
-                            continue
-                        items = [(outcome, key)]
-                        while (
-                            len(items) < batch_size
-                            and queue
-                            and queue[0][0] is app
-                        ):
-                            _, next_outcome, next_key = queue.popleft()
-                            items.append((next_outcome, next_key))
-                        submit(app, items)
-                if not inflight:
-                    if retry_queue:
-                        time.sleep(max(0.0, retry_queue[0][0] - now))
-                    continue
-                wake: float | None = None
-                for _, _, deadline in inflight.values():
-                    if deadline is not None:
-                        wake = deadline if wake is None else min(wake, deadline)
-                if retry_queue:
-                    ready = min(item[0] for item in retry_queue)
-                    wake = ready if wake is None else min(wake, ready)
-                timeout = (
-                    None if wake is None else max(0.0, wake - time.monotonic())
-                )
-                done, _ = wait(
-                    inflight, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    app, items, _ = inflight.pop(future)
-                    try:
-                        payloads = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        # The *parent's* interrupt/exit, not a cell
-                        # outcome — never record it as a failure.
-                        raise
-                    except BaseException as exc:
-                        # BrokenProcessPool-class faults: the payloads
-                        # never came back; synthesise the error for
-                        # every cell of the batch.
-                        error_text = traceback.format_exc()
-                        payloads = [
-                            (None, error_text, classify_error(exc), {})
-                        ] * len(items)
-                    for (outcome, key), payload in zip(items, payloads):
-                        row, error, category, metrics = payload
-                        outcome.metrics.merge(
-                            StageMetrics.from_dict(metrics)
-                        )
-                        outcome.row, outcome.error = row, error
-                        outcome.category = category
-                        settle(outcome, key, app)
-                if config.timeout_seconds is not None:
-                    now = time.monotonic()
-                    for future, payload in list(inflight.items()):
-                        app, items, deadline = payload
-                        if deadline is None or now < deadline:
-                            continue
-                        # Cancel if still queued; a running attempt is
-                        # abandoned (its eventual result is discarded)
-                        # so the sweep never blocks on a hung cell.
-                        future.cancel()
-                        del inflight[future]
-                        for outcome, key in items:
-                            outcome.row = None
-                            outcome.error = (
-                                f"timeout: attempt exceeded "
-                                f"{config.timeout_seconds}s"
-                            )
-                            outcome.category = CATEGORY_TRANSIENT
-                            outcome.metrics.bump("timeout")
-                            settle(outcome, key, app)
-
-    def _run_supervised(
-        self,
-        pending: list[tuple[SimApplication, CellOutcome, str | None]],
-        result: SweepResult,
-        planes: dict[str, PlaneHandle] | None = None,
-    ) -> None:
-        """Run cells under the worker supervisor (``cell_deadline``
-        set): hung/dead workers are killed and replaced, their cells
-        requeued within the requeue budget. Dispatch stays per-cell —
-        the deadline's kill/requeue unit is one cell — but workers
-        still attach the shared plane when one is published."""
-        config = self.config
-        jobs = min(config.jobs, len(pending))
-        queue = deque(pending)
-        retry_queue: list[tuple[float, SimApplication, CellOutcome, str | None]] = []
+        retry_queue: list[
+            tuple[float, SimApplication, CellOutcome, str | None]
+        ] = []
+        #: task id -> (app, outcome, key) of every dispatched cell.
         tasks: dict[int, tuple[SimApplication, CellOutcome, str | None]] = {}
         failures = 0
-        supervisor = WorkerSupervisor(
-            jobs,
-            self.machine,
-            config.seed,
-            config.fault_plan,
-            cell_deadline=config.cell_deadline,
-            requeue_budget=config.requeue_budget,
-            plane_handles=planes or None,
-        )
 
         def budget_exhausted() -> bool:
             return (
@@ -1062,12 +869,18 @@ class SweepExecutor:
                 and failures >= config.error_budget
             )
 
-        def submit(app, outcome, key) -> None:
-            outcome.attempts += 1
-            task_id = supervisor.submit(app, outcome.cell, outcome.attempts)
-            tasks[task_id] = (app, outcome, key)
+        def submit(app, items) -> None:
+            for outcome, _ in items:
+                outcome.attempts += 1
+            task_ids = workers.submit(
+                app,
+                [outcome.cell for outcome, _ in items],
+                [outcome.attempts for outcome, _ in items],
+            )
+            for task_id, (outcome, key) in zip(task_ids, items):
+                tasks[task_id] = (app, outcome, key)
 
-        def settle_failure(app, outcome, key) -> None:
+        def fail(app, outcome, key) -> None:
             nonlocal failures
             if (
                 outcome.category != CATEGORY_POISONED
@@ -1083,83 +896,89 @@ class SweepExecutor:
             failures += 1
             self._finish(result, outcome, key)
 
-        with supervisor:
-            while queue or retry_queue or tasks:
-                now = time.monotonic()
-                if budget_exhausted():
-                    while queue:
-                        _, outcome, key = queue.popleft()
-                        self._skip(result, outcome, key)
-                    for _, _, outcome, key in retry_queue:
+        def settle(event) -> None:
+            nonlocal failures
+            app, outcome, key = tasks[event.task_id]
+            if isinstance(event, CellRequeued):
+                outcome.attempts += 1
+                result.metrics.bump("requeue")
+                result.metrics.bump(event.reason)
+                return
+            del tasks[event.task_id]
+            if isinstance(event, CellAborted):
+                outcome.row = None
+                outcome.error = event.error
+                outcome.category = event.category
+                result.metrics.bump(event.reason)
+                failures += 1
+                self._finish(result, outcome, key)
+                return
+            outcome.metrics.merge(StageMetrics.from_dict(event.metrics))
+            outcome.row, outcome.error = event.row, event.error
+            outcome.category = event.category
+            if outcome.ok:
+                self._finish(result, outcome, key)
+            else:
+                fail(app, outcome, key)
+
+        while queue or retry_queue or tasks:
+            now = time.monotonic()
+            if budget_exhausted():
+                while queue:
+                    _, outcome, key = queue.popleft()
+                    self._skip(result, outcome, key)
+                # A cell already waiting on a retry keeps its last
+                # captured error instead of being granted more attempts.
+                for _, _, outcome, key in retry_queue:
+                    failures += 1
+                    self._finish(result, outcome, key)
+                retry_queue.clear()
+            else:
+                retry_queue.sort(key=lambda item: item[0])
+                while (
+                    retry_queue
+                    and retry_queue[0][0] <= now
+                    and workers.capacity > 0
+                ):
+                    # Retries re-dispatch as single cells: their backoff
+                    # already de-batched them. One whose circuit opened
+                    # meanwhile settles with its last captured error.
+                    _, app, outcome, key = retry_queue.pop(0)
+                    if self._breaker.is_open(app.name):
                         failures += 1
                         self._finish(result, outcome, key)
-                    retry_queue.clear()
-                else:
-                    retry_queue.sort(key=lambda item: item[0])
+                        continue
+                    submit(app, [(outcome, key)])
+                while queue and workers.capacity > 0:
+                    app, outcome, key = queue.popleft()
+                    if self._breaker.is_open(app.name):
+                        self._skip_circuit(result, outcome, key)
+                        continue
+                    items = [(outcome, key)]
                     while (
-                        retry_queue
-                        and retry_queue[0][0] <= now
-                        and supervisor.capacity > 0
+                        len(items) < batch_size
+                        and queue
+                        and queue[0][0] is app
                     ):
-                        _, app, outcome, key = retry_queue.pop(0)
-                        if self._breaker.is_open(app.name):
-                            failures += 1
-                            self._finish(result, outcome, key)
-                            continue
-                        submit(app, outcome, key)
-                    while queue and supervisor.capacity > 0:
-                        app, outcome, key = queue.popleft()
-                        if self._breaker.is_open(app.name):
-                            self._skip_circuit(result, outcome, key)
-                            continue
-                        submit(app, outcome, key)
-                if not tasks:
-                    if retry_queue:
-                        retry_queue.sort(key=lambda item: item[0])
-                        time.sleep(max(0.0, retry_queue[0][0] - now))
-                        continue
-                    if queue:
-                        continue
-                    break
-                timeout = 0.25
+                        _, next_outcome, next_key = queue.popleft()
+                        items.append((next_outcome, next_key))
+                    submit(app, items)
+            if not tasks:
                 if retry_queue:
-                    ready = min(item[0] for item in retry_queue)
-                    timeout = max(0.0, min(timeout, ready - now))
-                for event in supervisor.poll(timeout):
-                    if isinstance(event, CellResult):
-                        entry = tasks.pop(event.task_id, None)
-                        if entry is None:
-                            continue
-                        app, outcome, key = entry
-                        outcome.metrics.merge(
-                            StageMetrics.from_dict(event.metrics)
-                        )
-                        outcome.row = event.row
-                        outcome.error = event.error
-                        outcome.category = event.category
-                        if outcome.ok:
-                            self._finish(result, outcome, key)
-                        else:
-                            settle_failure(app, outcome, key)
-                    elif isinstance(event, CellRequeued):
-                        entry = tasks.get(event.task_id)
-                        if entry is None:
-                            continue
-                        _, outcome, _ = entry
-                        outcome.attempts += 1
-                        result.metrics.bump("requeue")
-                        result.metrics.bump(event.reason)
-                    elif isinstance(event, CellAborted):
-                        entry = tasks.pop(event.task_id, None)
-                        if entry is None:
-                            continue
-                        app, outcome, key = entry
-                        outcome.row = None
-                        outcome.error = event.error
-                        outcome.category = event.category
-                        result.metrics.bump(event.reason)
-                        failures += 1
-                        self._finish(result, outcome, key)
+                    time.sleep(max(0.0, retry_queue[0][0] - now))
+                continue
+            timeout = (
+                max(0.0, retry_queue[0][0] - time.monotonic())
+                if retry_queue
+                else None
+            )
+            events = deque(workers.poll(timeout))
+            while events:
+                settle(events.popleft())
+                # Caching and journaling a cell fsyncs; a worker that
+                # answered meanwhile gets its next batch now, not
+                # once the whole answer in hand has settled.
+                events.extend(workers.poll(0))
 
 
 def run_sweep(
@@ -1181,7 +1000,6 @@ def run_sweep(
     circuit_threshold: int | None = None,
     shared_plane: bool = False,
     plane_backend: str = "shm",
-    batch_size: int | None = None,
 ) -> SweepResult:
     """Convenience wrapper: sweep ``apps`` with the given knobs."""
     executor = SweepExecutor(
@@ -1202,7 +1020,6 @@ def run_sweep(
             circuit_threshold=circuit_threshold,
             shared_plane=shared_plane,
             plane_backend=plane_backend,
-            batch_size=batch_size,
         ),
     )
     return executor.run(apps, grid=grid)

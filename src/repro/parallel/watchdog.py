@@ -1,7 +1,7 @@
 """Orphan watchdog: workers must not outlive a SIGKILL'd parent.
 
-A fork-started pool worker blocks reading a call queue whose write end
-it inherited itself, so losing the parent never delivers EOF — the
+A fork-started sweep worker blocks reading a pipe whose other end it
+inherited itself, so losing the parent never delivers EOF — the
 orphan would sit there forever, and while it sits it also pins open
 the ``multiprocessing.resource_tracker`` pipe it inherited. The
 tracker only performs its crash cleanup (unlinking shared-memory

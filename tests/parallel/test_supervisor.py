@@ -1,4 +1,5 @@
-"""Worker supervision: heartbeats, deadline kills, requeues, circuits."""
+"""Worker supervision: batches, deadline and timeout kills, requeues,
+circuits."""
 
 import time
 from pathlib import Path
@@ -14,13 +15,14 @@ from repro.errors import (
 from repro.machine.config import xeon_phi_7250
 from repro.parallel.supervisor import (
     REASON_DEADLINE,
+    REASON_TIMEOUT,
     CellAborted,
     CellRequeued,
     CellResult,
-    CircuitBreaker,
     WorkerSupervisor,
 )
 from repro.pipeline.experiment import enumerate_cells
+from repro.retry import CircuitBreaker
 from repro.units import MIB
 from tests.conftest import TinyApp
 from tests.parallel.test_sweep import SMALL_GRID
@@ -79,11 +81,21 @@ class TestWorkerSupervisor:
         app = TinyApp()
         cells = enumerate_cells(app, SMALL_GRID)
         with WorkerSupervisor(2, machine, 0, None) as supervisor:
-            ids = [supervisor.submit(app, cell, 1) for cell in cells]
+            ids = [supervisor.submit(app, [cell], [1])[0] for cell in cells]
             terminal, _ = drain(supervisor, len(cells))
         assert sorted(e.task_id for e in terminal) == sorted(ids)
         assert all(isinstance(e, CellResult) for e in terminal)
         assert all(e.row is not None and e.error is None for e in terminal)
+
+    def test_batch_answers_one_event_per_cell(self, machine):
+        app = TinyApp()
+        cells = enumerate_cells(app, SMALL_GRID)
+        with WorkerSupervisor(1, machine, 0, None) as supervisor:
+            ids = supervisor.submit(app, cells[:3], [1, 1, 1])
+            ids += supervisor.submit(app, cells[3:], [1] * (len(cells) - 3))
+            terminal, _ = drain(supervisor, len(cells))
+        assert sorted(e.task_id for e in terminal) == ids
+        assert all(e.row is not None for e in terminal)
 
     def test_worker_failure_reported_in_band(self, machine):
         """An exception inside a cell comes back as a CellResult with
@@ -91,7 +103,7 @@ class TestWorkerSupervisor:
         app = FailingApp()
         cell = enumerate_cells(app, SMALL_GRID)[0]
         with WorkerSupervisor(1, machine, 0, None) as supervisor:
-            supervisor.submit(app, cell, 1)
+            supervisor.submit(app, [cell], [1])
             terminal, _ = drain(supervisor, 1)
         (event,) = terminal
         assert isinstance(event, CellResult)
@@ -108,7 +120,7 @@ class TestWorkerSupervisor:
             1, machine, 0, None, cell_deadline=1.0, requeue_budget=2
         )
         with supervisor:
-            supervisor.submit(app, cell, 1)
+            supervisor.submit(app, [cell], [1])
             terminal, others = drain(supervisor, 1)
         (event,) = terminal
         assert isinstance(event, CellResult)
@@ -125,7 +137,7 @@ class TestWorkerSupervisor:
             1, machine, 0, None, cell_deadline=0.5, requeue_budget=1
         )
         with supervisor:
-            supervisor.submit(app, cell, 1)
+            supervisor.submit(app, [cell], [1])
             terminal, others = drain(supervisor, 1)
         (event,) = terminal
         assert isinstance(event, CellAborted)
@@ -134,12 +146,33 @@ class TestWorkerSupervisor:
         assert sum(1 for e in others if isinstance(e, CellRequeued)) == 1
         assert supervisor.losses[REASON_DEADLINE] == 2
 
+    def test_timeout_kills_worker_and_fails_cell_in_band(self, machine):
+        """A timeout is not requeued: the worker is replaced and the
+        cell comes back as a transient failure for the sweep to retry."""
+        app = AlwaysHangs()
+        cell = enumerate_cells(app, SMALL_GRID)[0]
+        supervisor = WorkerSupervisor(
+            1, machine, 0, None, timeout_seconds=0.5, requeue_budget=2
+        )
+        with supervisor:
+            supervisor.submit(app, [cell], [1])
+            terminal, others = drain(supervisor, 1)
+            assert len(supervisor.workers) == 1
+        (event,) = terminal
+        assert isinstance(event, CellResult)
+        assert event.row is None
+        assert event.category == CATEGORY_TRANSIENT
+        assert "timeout" in event.error
+        assert event.metrics["counters"] == {"timeout": 1}
+        assert others == []
+        assert supervisor.losses == {REASON_TIMEOUT: 1}
+
     def test_killed_worker_is_replaced_and_cell_requeued(self, machine):
         app = TinyApp()
         cells = enumerate_cells(app, SMALL_GRID)[:2]
         with WorkerSupervisor(1, machine, 0, None) as supervisor:
             for cell in cells:
-                supervisor.submit(app, cell, 1)
+                supervisor.submit(app, [cell], [1])
             # Murder the worker out-of-band mid-sweep.
             victim = next(iter(supervisor.workers.values()))
             victim.proc.kill()

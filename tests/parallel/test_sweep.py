@@ -52,6 +52,37 @@ class FlakyApp(TinyApp):
         return super().run_profiling(seed=seed, tracer_config=tracer_config)
 
 
+class CrashOnceApp(TinyApp):
+    """Kills its worker process on the first profiling attempt only
+    (recorded via a marker file), like a segfaulting native library."""
+
+    name = "crashonce"
+
+    def run_profiling(self, seed=0, tracer_config=None):
+        import os
+        from pathlib import Path
+
+        marker = Path(self.marker)
+        if not marker.exists():
+            marker.write_text("crashed once")
+            os._exit(1)
+        return super().run_profiling(seed=seed, tracer_config=tracer_config)
+
+
+class DeterministicThenPoisonedApp(TinyApp):
+    """The first profiling attempt fails deterministically, every later
+    one with poisoned input (class state: run it in-process only)."""
+
+    name = "detthenpoisoned"
+    calls = 0
+
+    def run_profiling(self, seed=0, tracer_config=None):
+        type(self).calls += 1
+        if type(self).calls == 1:
+            raise RuntimeError("deterministic model bug")
+        raise ConfigError("the input itself is bad")
+
+
 #: Two budgets x two strategies: 4 grid cells + 4 baselines per app.
 SMALL_GRID = ExperimentGrid(
     budgets=(32 * MIB, 64 * MIB), strategies=("density", "misses-0%")
@@ -240,6 +271,24 @@ class TestFaultIsolation:
         # The healthy application's row set is complete and correct.
         serial = run_figure4_experiment(TinyApp(), grid=SMALL_GRID, seed=0)
         assert sweep.experiment(TinyApp()).grid == serial.grid
+
+    def test_worker_crash_is_requeued_not_fatal(self, tmp_path):
+        """A worker that dies mid-cell (no deadline set) is replaced and
+        its cells requeued; the sweep finishes with the serial rows."""
+        app = CrashOnceApp()
+        app.marker = str(tmp_path / "marker")
+        (tmp_path / "marker").write_text("pre")
+        serial = run_sweep([app], grid=SMALL_GRID, jobs=1, seed=0)
+        (tmp_path / "marker").unlink()
+
+        sweep = run_sweep(
+            [app], grid=SMALL_GRID, jobs=2, seed=0, retries=2
+        )
+        assert not sweep.failures
+        assert sweep.metrics.count("worker_crash") >= 1
+        assert sweep.metrics.count("requeue") >= 1
+        assert sweep.rows(app.name) == serial.rows(app.name)
+        assert sweep.experiment(app).grid == serial.experiment(app).grid
 
     def test_retry_recovers_transient_fault(self):
         FlakyApp.failures_left = 1
@@ -653,6 +702,23 @@ class TestCircuitBreakerSweep:
         assert all(o.attempts == 1 for o in sweep.failures)
         assert sweep.metrics.count("retry") == 0
 
+    def test_retry_waiting_on_backoff_settles_once_circuit_opens(self):
+        """A retry still waiting out its backoff when its app's circuit
+        opens is not dispatched: it settles with its last error."""
+        DeterministicThenPoisonedApp.calls = 0
+        sweep = run_sweep(
+            [DeterministicThenPoisonedApp()], grid=SMALL_GRID, jobs=1,
+            seed=0, retries=1, backoff_seconds=0.2, circuit_threshold=1,
+        )
+        first, second = sweep.outcomes[0], sweep.outcomes[1]
+        assert first.attempts == 1
+        assert not first.skipped
+        assert "deterministic model bug" in first.error
+        assert "the input itself is bad" in second.error
+        assert sweep.metrics.count("retry") == 1
+        assert sweep.metrics.count("circuit_open") == 6
+        assert DeterministicThenPoisonedApp.calls == 2
+
     def test_breaker_disabled_by_default(self):
         sweep = run_sweep([BrokenApp()], grid=SMALL_GRID, retries=0)
         assert len(sweep.failures) == 8
@@ -765,35 +831,54 @@ class TestSharedPlaneSweep:
     optimisations: identical rows, identical journals, counted (never
     fatal) degradation."""
 
-    def test_equality_matrix(self, tmp_path):
-        """Serial, pool, pool+plane (both backends) and batched
-        dispatch settle identical rows and identical journals."""
+    def test_equality_matrix(self, tmp_path, monkeypatch):
+        """Serial, supervised workers, workers + plane (both backends)
+        and per-cell dispatch settle identical rows and identical
+        journals, clean and under a fault plan."""
+        from repro.parallel.supervisor import WorkerSupervisor
+
+        batches = []
+        submit = WorkerSupervisor.submit
+
+        def recording_submit(self, app, cells, attempts):
+            batches.append(len(cells))
+            return submit(self, app, cells, attempts)
+
+        monkeypatch.setattr(WorkerSupervisor, "submit", recording_submit)
         apps = [TinyApp(), SecondApp()]
         variants = {
             "serial": dict(jobs=1),
-            "pool": dict(jobs=2),
-            "pool-batched": dict(jobs=2, batch_size=3),
+            "workers": dict(jobs=2),
             "plane-shm": dict(jobs=2, shared_plane=True),
             "plane-mmap": dict(
                 jobs=2, shared_plane=True, plane_backend="mmap"
             ),
-            "plane-batched": dict(jobs=2, shared_plane=True, batch_size=4),
+            "per-cell": dict(jobs=2, cell_deadline=60.0),
         }
-        signatures, journals = {}, {}
-        for label, kwargs in variants.items():
-            sweep = run_sweep(
-                apps, grid=SMALL_GRID, seed=0,
-                journal_dir=tmp_path / label, **kwargs,
-            )
-            assert not sweep.failures, label
-            signatures[label] = _row_signature(sweep)
-            journals[label] = _journal_payloads(tmp_path / label)
-        reference_rows = signatures.pop("serial")
-        reference_journal = journals.pop("serial")
-        for label, signature in signatures.items():
-            assert signature == reference_rows, label
-        for label, journal in journals.items():
-            assert journal == reference_journal, label
+        for plan in (None, FAULTY_PLAN):
+            signatures, journals = {}, {}
+            for label, kwargs in variants.items():
+                batches.clear()
+                journal_dir = tmp_path / f"{label}-{plan is not None}"
+                sweep = run_sweep(
+                    apps, grid=SMALL_GRID, seed=0, fault_plan=plan,
+                    journal_dir=journal_dir, **kwargs,
+                )
+                if plan is None:
+                    assert not sweep.failures, label
+                if label in ("workers", "plane-shm", "plane-mmap"):
+                    # Auto sizing: 16 cells over 2 workers -> pairs.
+                    assert max(batches) == 2, label
+                elif label == "per-cell":
+                    assert set(batches) == {1}
+                signatures[label] = _row_signature(sweep)
+                journals[label] = _journal_payloads(journal_dir)
+            reference_rows = signatures.pop("serial")
+            reference_journal = journals.pop("serial")
+            for label, signature in signatures.items():
+                assert signature == reference_rows, (label, plan)
+            for label, journal in journals.items():
+                assert journal == reference_journal, (label, plan)
 
     def test_plane_metrics_account_publish_and_attach(self):
         sweep = run_sweep(
@@ -888,8 +973,8 @@ class TestSharedPlaneSweep:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"batch_size": 0},
-            {"batch_size": -1},
+            {"plane_backend": ""},
+            {"plane_backend": "SHM"},
             {"plane_backend": "carrier-pigeon"},
         ],
     )
@@ -899,15 +984,19 @@ class TestSharedPlaneSweep:
 
 
 class TestBatchSizing:
-    def test_explicit_batch_size_wins(self):
-        executor = SweepExecutor(config=SweepConfig(jobs=4, batch_size=7))
-        assert executor._batch_size(100, 4) == 7
-
     def test_timeout_pins_batches_to_single_cells(self):
         executor = SweepExecutor(
             config=SweepConfig(jobs=4, timeout_seconds=1.0)
         )
         assert executor._batch_size(100, 4) == 1
+        executor = SweepExecutor(
+            config=SweepConfig(jobs=4, cell_deadline=1.0)
+        )
+        assert executor._batch_size(100, 4) == 1
+
+    def test_in_process_runs_single_cells(self):
+        executor = SweepExecutor(config=SweepConfig(jobs=1))
+        assert executor._batch_size(100, 1) == 1
 
     def test_auto_targets_four_batches_per_worker(self):
         executor = SweepExecutor(config=SweepConfig(jobs=4))
@@ -1003,3 +1092,15 @@ class TestControlFlowSignals:
     def test_system_exit_escapes_serial_sweep(self):
         with pytest.raises(SystemExit):
             run_sweep([ExitingApp()], grid=SMALL_GRID, jobs=1, seed=0)
+
+    def test_system_exit_in_a_worker_is_a_crashed_worker(self):
+        """In a worker process SystemExit ends the worker: its cells
+        are requeued, then aborted — the parent sweep carries on."""
+        sweep = run_sweep(
+            [ExitingApp()], grid=FIVE_CELLS, jobs=2, seed=0,
+            requeue_budget=1,
+        )
+        assert len(sweep.failures) == 5
+        assert all("worker died" in o.error for o in sweep.failures)
+        assert sweep.metrics.count("requeue") == 5
+        assert sweep.metrics.count("worker_crash") == 10

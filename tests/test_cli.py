@@ -164,6 +164,20 @@ class TestColumnarFlow:
         assert analyze_main([str(npz), "-o", str(col_csv)]) == 0
         assert col_csv.read_text() == row_csv.read_text()
 
+    def test_profile_accepts_every_registered_app(self, tmp_path):
+        """Single-app CLIs take their choices from the registry, so
+        the synthetic phaseshift model profiles like a Table I app and
+        writes the trace the library would."""
+        from repro.apps.registry import get_app
+        from repro.trace.columnar import ColumnarTrace
+
+        npz = tmp_path / "phaseshift.npz"
+        assert profile_main(["phaseshift", "-o", str(npz), "--columnar"]) == 0
+        loaded = ColumnarTrace.load(npz)
+        direct = get_app("phaseshift").run_profiling(seed=0).trace
+        assert loaded.n_samples == direct.n_samples > 0
+        assert (loaded.addresses == direct.addresses).all()
+
     def test_profile_columnar_with_latency(self, tmp_path):
         from repro.trace.columnar import ColumnarTrace
 
