@@ -15,7 +15,7 @@ from repro.analysis.paramedir import (
     read_profiles_csv,
     write_profiles_csv,
 )
-from repro.apps import ALL_APP_NAMES, APP_NAMES, get_app
+from repro.apps import ALL_APP_NAMES, get_app
 from repro.errors import ConfigError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import run_resilience_sweep
@@ -287,8 +287,8 @@ def experiment_main(argv: list[str] | None = None) -> int:
         "processes and warm re-runs are answered from the result "
         "cache without executing any pipeline stage.",
     )
-    parser.add_argument("apps", nargs="+", choices=APP_NAMES, metavar="app",
-                        help=f"application model(s) ({', '.join(APP_NAMES)})")
+    parser.add_argument("apps", nargs="+", choices=ALL_APP_NAMES, metavar="app",
+                        help=f"application model(s) ({', '.join(ALL_APP_NAMES)})")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes for the sweep "
@@ -426,8 +426,8 @@ def faults_main(argv: list[str] | None = None) -> int:
         "resilience table: cell survival, degradation events and "
         "placement quality relative to the clean run.",
     )
-    parser.add_argument("apps", nargs="+", choices=APP_NAMES, metavar="app",
-                        help=f"application model(s) ({', '.join(APP_NAMES)})")
+    parser.add_argument("apps", nargs="+", choices=ALL_APP_NAMES, metavar="app",
+                        help=f"application model(s) ({', '.join(ALL_APP_NAMES)})")
     parser.add_argument("--plan", type=Path, required=True,
                         help="JSON fault plan (the factor-1 rung; other "
                         "rungs scale its rates)")

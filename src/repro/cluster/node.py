@@ -45,25 +45,46 @@ class ExtentAllocator:
     the fragmentation metric: ``1 - largest_free / total_free`` is 0
     when every free byte is reachable by one allocation and approaches
     1 as churn shatters the space.
+
+    ``total_free``, ``largest_free`` and ``fragmentation`` are plain
+    attributes derived from the hole list by :meth:`_set_free`, which
+    every mutation (alloc, free, reset, restore) goes through: the
+    scheduler reads them on every admission attempt, so reading is
+    O(1). They are not state of their own — a checkpoint stores only
+    :meth:`holes`.
     """
 
     def __init__(self, total: int) -> None:
         if total <= 0:
             raise ConfigError(f"allocator needs a positive size, got {total}")
         self.total = total
-        #: Sorted disjoint free holes as (offset, size).
-        self._free: list[tuple[int, int]] = [(0, total)]
+        self._set_free([(0, total)])
+
+    def _set_free(self, holes: list[tuple[int, int]]) -> None:
+        """Install the sorted disjoint free holes as (offset, size)
+        and re-derive the free-list statistics from them."""
+        self._free = holes
+        self.total_free = sum(s for _, s in holes)
+        self.largest_free = max((s for _, s in holes), default=0)
+        #: ``1 - largest_free / total_free`` (0.0 when nothing free).
+        self.fragmentation = (
+            1.0 - self.largest_free / self.total_free
+            if self.total_free
+            else 0.0
+        )
 
     def alloc(self, size: int) -> Extent | None:
         """Carve ``size`` bytes out of the first hole that fits."""
         if size <= 0:
             raise ConfigError(f"allocation size must be positive, got {size}")
-        for i, (offset, hole) in enumerate(self._free):
+        free = self._free
+        for i, (offset, hole) in enumerate(free):
             if hole >= size:
                 if hole == size:
-                    del self._free[i]
+                    del free[i]
                 else:
-                    self._free[i] = (offset + size, hole - size)
+                    free[i] = (offset + size, hole - size)
+                self._set_free(free)
                 return Extent(offset=offset, size=size)
         return None
 
@@ -86,23 +107,7 @@ class ExtentAllocator:
                 merged[-1] = (last_offset, last_size + s)
             else:
                 merged.append((o, s))
-        self._free = merged
-
-    @property
-    def total_free(self) -> int:
-        return sum(s for _, s in self._free)
-
-    @property
-    def largest_free(self) -> int:
-        return max((s for _, s in self._free), default=0)
-
-    @property
-    def fragmentation(self) -> float:
-        """``1 - largest_free / total_free`` (0.0 when nothing free)."""
-        free = self.total_free
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free / free
+        self._set_free(merged)
 
     def holes(self) -> tuple[tuple[int, int], ...]:
         """Snapshot of the free list (deterministic, for journals)."""
@@ -115,7 +120,7 @@ class ExtentAllocator:
         simulator resets the allocator instead of freeing tenant
         extents one by one, because the extents died with the node.
         """
-        self._free = [(0, self.total)]
+        self._set_free([(0, self.total)])
 
     @classmethod
     def restore(
@@ -145,7 +150,7 @@ class ExtentAllocator:
                 )
             free.append((offset, size))
             last_end = offset + size
-        allocator._free = free
+        allocator._set_free(free)
         return allocator
 
 

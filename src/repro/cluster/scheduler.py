@@ -36,9 +36,19 @@ class NodeView(Protocol):
     def n_tenants(self) -> int: ...
 
 
-#: A policy maps (nodes in declaration order, minimum grant) to the
-#: chosen node or None. Declaration order is the deterministic
-#: tie-break everywhere.
+#: A policy maps (nodes in declaration order, bar) to the chosen node
+#: or None. Declaration order is the deterministic tie-break
+#: everywhere. The bar is the smallest contiguous hole the request
+#: accepts (its minimum grant, or a backpressure down-grant).
+#:
+#: The contract: a policy returns ``None`` or one of the nodes it was
+#: handed whose ``largest_free`` is at least the bar — never a hole
+#: below the bar — and it decides from what it is handed alone, so
+#: a call it is spared cannot change a later decision. The simulator
+#: relies on this to skip every call whose bar exceeds the largest
+#: offered hole (the call could only return ``None``), and raises
+#: :class:`~repro.errors.ConfigError` when a policy, a user callable
+#: included, returns anything else.
 SchedulerPolicy = Callable[[list, int], "object | None"]
 
 

@@ -281,6 +281,10 @@ class ClusterSim:
         #: Advisor decisions are pure in (app, machine, grant,
         #: strategy); memoised so churny fleets stay cheap.
         self._sites_cache: dict[tuple[str, str, int, str], frozenset[str]] = {}
+        #: Contended FOMs are pure in (app, machine, sites,
+        #: co-residents): a tenant's traffic is always
+        #: ``traffic_for_sites`` of its sites on its node's machine.
+        self._foms: dict[tuple[str, str, frozenset[str], int], float] = {}
         self._models: dict[str, ExecutionModel] = {}
 
     # -- shared per-app machinery ---------------------------------------
@@ -316,13 +320,22 @@ class ClusterSim:
             self._models[machine.name] = model
         return model
 
-    def _cost(self, tenant: Tenant, co_residents: int):
-        """Tenant's run cost when ``co_residents`` share its node.
+    def _fom(self, tenant: Tenant, co_residents: int) -> float:
+        """Tenant's FOM when ``co_residents`` share its node.
 
         An even bandwidth split ``B/k`` is charged by scaling the
         tenant's traffic by ``k`` against the full-node saturation
         curve — ``k * bytes / B == bytes / (B/k)``.
         """
+        key = (
+            tenant.request.app,
+            tenant.node.spec.machine.name,
+            tenant.sites,
+            co_residents,
+        )
+        fom = self._foms.get(key)
+        if fom is not None:
+            return fom
         traffic = tenant.traffic
         if co_residents > 1:
             traffic = PlacedTraffic(
@@ -333,12 +346,13 @@ class ClusterSim:
             )
         fw = self._framework(tenant.request.app, tenant.node)
         cal = fw.app.calibration
-        return self._model(tenant.node).cost(
+        fom = self._foms[key] = self._model(tenant.node).cost(
             traffic,
             compute_time=cal.compute_time,
             work=cal.work,
             cores=tenant.node.spec.machine.cores,
-        )
+        ).fom
+        return fom
 
     # -- journal ---------------------------------------------------------
 
@@ -387,7 +401,7 @@ class ClusterSim:
         k = node.n_tenants
         for tenant in node.residents():
             tenant.sync(now)
-            tenant.rate = self._cost(tenant, k).fom
+            tenant.rate = self._fom(tenant, k)
             fw = self._framework(tenant.request.app, node)
             remaining = max(0.0, fw.app.calibration.work - tenant.progress)
             finish = max(now, tenant.stall_until) + remaining / tenant.rate
@@ -424,7 +438,7 @@ class ClusterSim:
             admission_time=now,
             last_update=now,
         )
-        tenant.fom_isolated = self._cost(tenant, 1).fom
+        tenant.fom_isolated = self._fom(tenant, 1)
         node.tenants[request.job_id] = tenant
         self._log(
             f"admit job={request.job_id} node={node.name} grant={grant} "
@@ -447,28 +461,59 @@ class ClusterSim:
                 )
         return tenant
 
-    def _select_node(self, request: JobRequest) -> NodeState | None:
+    def _largest_up_hole(self) -> int:
+        return max(
+            (n.largest_free for n in self._up_nodes()), default=0
+        )
+
+    def _schedule(self, nodes: list[NodeState], bar: int) -> NodeState | None:
+        """Ask the policy for a node, holding it to its contract
+        (:data:`~repro.cluster.scheduler.SchedulerPolicy`)."""
+        node = self.scheduler(nodes, bar)
+        if node is None:
+            return None
+        if not any(node is n for n in nodes) or node.largest_free < bar:
+            raise ConfigError(
+                f"scheduler {self.scheduler_name!r} broke its contract: "
+                f"returned {getattr(node, 'name', node)!r}, which is not "
+                f"an offered node whose largest hole clears {bar} bytes"
+            )
+        return node
+
+    def _select_node(
+        self, request: JobRequest, largest: int
+    ) -> NodeState | None:
         """Pick a home for the request — at the normal minimum grant
-        first, then (if backpressure allows) at the down-granted bar."""
-        eligible = self._up_nodes()
-        node = self.scheduler(eligible, self._min_grant(request))
-        if node is not None:
-            return node
+        first, then (if backpressure allows) at the down-granted bar.
+
+        ``largest`` is the largest up-node hole. A policy never places
+        a request in a hole below its bar, so an attempt whose bar
+        exceeds ``largest`` could only fail and is not made; a failed
+        attempt writes nothing to the journal, so skipping it cannot
+        change one.
+        """
+        min_grant = self._min_grant(request)
+        if min_grant <= largest:
+            node = self._schedule(self._up_nodes(), min_grant)
+            if node is not None:
+                return node
         reduced = self.backpressure.down_grant(request.hbw_demand)
-        if reduced is not None and reduced < self._min_grant(request):
-            node = self.scheduler(eligible, reduced)
+        if reduced is not None and reduced < min_grant and reduced <= largest:
+            node = self._schedule(self._up_nodes(), reduced)
             if node is not None:
                 self._log(
                     f"downgrant job={request.job_id} "
-                    f"min={self._min_grant(request)}->{reduced}"
+                    f"min={min_grant}->{reduced}"
                 )
                 return node
         return None
 
-    def _try_admit(self, request: JobRequest, queued: bool) -> bool:
+    def _try_admit(
+        self, request: JobRequest, queued: bool, largest: int
+    ) -> bool:
         """Place one request; queue, shed or reject it if no node
-        fits now."""
-        node = self._select_node(request)
+        fits now (``largest``: the largest up-node hole)."""
+        node = self._select_node(request, largest)
         if node is not None:
             if queued:
                 delay = self.clock.now - request.arrival_time
@@ -495,10 +540,18 @@ class ClusterSim:
         return False
 
     def _drain_queue(self) -> None:
-        """FIFO pass over waiting jobs after capacity was freed."""
+        """FIFO pass over waiting jobs after capacity was freed.
+
+        The largest up-node hole is read once per pass and again only
+        after an admission, the one step that changes it; a request
+        whose bar exceeds it keeps its place without a scheduler call.
+        """
+        largest = self._largest_up_hole()
         still_waiting: list[JobRequest] = []
         for request in self.queue:
-            if not self._try_admit(request, queued=True):
+            if self._try_admit(request, queued=True, largest=largest):
+                largest = self._largest_up_hole()
+            else:
                 still_waiting.append(request)
         self.queue = still_waiting
 
@@ -547,7 +600,7 @@ class ClusterSim:
                 fw.app, node.spec.machine, fw.profile(), applied
             )
             tenant.fom_isolated = max(
-                tenant.fom_isolated, self._cost(tenant, 1).fom
+                tenant.fom_isolated, self._fom(tenant, 1)
             )
             if moved:
                 self.migrated_bytes += moved
@@ -569,7 +622,9 @@ class ClusterSim:
             f"arrive job={request.job_id} app={request.app} "
             f"demand={request.hbw_demand}"
         )
-        self._try_admit(request, queued=False)
+        self._try_admit(
+            request, queued=False, largest=self._largest_up_hole()
+        )
 
     def _on_complete(self, job_id: int, generation: int) -> None:
         node = next(
@@ -650,7 +705,11 @@ class ClusterSim:
             for n in self._up_nodes()
             if budgets.get(n.name) is None or budgets[n.name] >= min_grant
         ]
-        target = self.scheduler(candidates, min_grant)
+        if min_grant > max(
+            (n.largest_free for n in candidates), default=0
+        ):
+            return False
+        target = self._schedule(candidates, min_grant)
         if target is None:
             return False
         budget_left = budgets.get(target.name)
@@ -682,7 +741,7 @@ class ClusterSim:
         tenant.traffic = traffic_for_sites(
             fw.app, target.spec.machine, fw.profile(), sites
         )
-        tenant.fom_isolated = max(tenant.fom_isolated, self._cost(tenant, 1).fom)
+        tenant.fom_isolated = max(tenant.fom_isolated, self._fom(tenant, 1))
         if moved:
             self.migrated_bytes += moved
             tenant.stall_until = (

@@ -74,19 +74,22 @@ def cell_cache_key(
     cell: GridCell,
     seed: int,
     fault_plan: "FaultPlan | None" = None,
+    app_print: dict | None = None,
 ) -> str:
     """The content-addressed identity of one sweep cell.
 
     A fault plan changes what a cell computes, so it is part of the
     identity — but only when present, which keeps every pre-existing
-    clean-run cache entry valid.
+    clean-run cache entry valid. ``app_print`` is
+    :func:`app_fingerprint` of ``app`` when the caller already holds
+    it: a sweep builds it once per app rather than once per cell.
     """
     from repro import __version__
 
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "version": __version__,
-        "app": app_fingerprint(app),
+        "app": app_fingerprint(app) if app_print is None else app_print,
         "machine": machine.to_dict(),
         "cell": cell_fingerprint(cell),
         "seed": seed,

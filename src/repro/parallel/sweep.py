@@ -513,6 +513,7 @@ class SweepExecutor:
 
         entries: list[tuple[SimApplication, CellOutcome, str | None]] = []
         for app_index, app in enumerate(apps):
+            app_print = app_fingerprint(app) if need_key else None
             for cell_index, cell in enumerate(enumerate_cells(app, grid)):
                 outcome = CellOutcome(
                     application=app.name,
@@ -526,6 +527,7 @@ class SweepExecutor:
                         cell,
                         config.seed,
                         fault_plan=config.fault_plan,
+                        app_print=app_print,
                     )
                     if need_key
                     else None

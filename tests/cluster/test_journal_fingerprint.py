@@ -14,6 +14,11 @@ paths the simulator has:
 * ``backpressure`` — down-granting and queue-depth shedding on a hot
   stream.
 
+The same runs, made through a counting wrapper around the policy,
+check the admission path's skip rule: the simulator never asks a
+policy at a bar no offered node can meet, so every call it makes
+places a request.
+
 The fixture ``journal_fingerprints.json`` is committed; regenerate it
 only deliberately, when a change is meant to move the decisions,
 with::
@@ -32,7 +37,11 @@ import pytest
 
 from repro.cluster import ArrivalStream, BackpressurePolicy, ClusterSim, make_fleet
 from repro.cluster.checkpoint import cluster_checkpoint_path
-from repro.cluster.scheduler import SCHEDULER_NAMES
+from repro.cluster.scheduler import (
+    SCHEDULER_NAMES,
+    SchedulerPolicy,
+    get_scheduler,
+)
 from repro.faults.plan import FaultPlan
 from repro.units import MIB
 
@@ -52,7 +61,9 @@ EXERCISES = {
 
 
 def scenario_sim(
-    scheduler: str, scenario: str, checkpoint_dir: str | None = None
+    scheduler: str | SchedulerPolicy,
+    scenario: str,
+    checkpoint_dir: str | None = None,
 ) -> ClusterSim:
     if scenario == "clean":
         return ClusterSim(
@@ -91,7 +102,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def journal_fingerprint(scheduler: str, scenario: str) -> dict:
+def journal_fingerprint(
+    scheduler: str | SchedulerPolicy, scenario: str
+) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         writes = scenario == "faults"
         sim = scenario_sim(scheduler, scenario, tmp if writes else None)
@@ -130,6 +143,36 @@ def test_journal_matches_golden(golden, scheduler, scenario):
     for verb in EXERCISES[scenario]:
         assert f" {verb}" in run["text"], f"scenario never logs {verb!r}"
     assert run["digests"] == golden[_case_id(scheduler, scenario)]
+
+
+@pytest.mark.parametrize(
+    "scheduler,scenario", _cases(), ids=[_case_id(*c) for c in _cases()]
+)
+def test_every_policy_call_places(golden, scheduler, scenario):
+    """Queue drains, arrivals and rescues ask the policy only at a bar
+    some offered (up) node's largest hole clears; with the built-in
+    policies every call then places a request, and skipping the
+    others leaves the journal on its golden digest."""
+    policy = get_scheduler(scheduler)
+    calls: list[bool] = []
+
+    def counting(nodes, bar):
+        assert all(n.status == "up" for n in nodes)
+        assert bar <= max((n.largest_free for n in nodes), default=0)
+        node = policy(nodes, bar)
+        calls.append(node is not None)
+        return node
+
+    counting.__name__ = scheduler
+    run = journal_fingerprint(counting, scenario)
+    assert run["digests"] == golden[_case_id(scheduler, scenario)]
+    assert calls and all(calls)
+    placements = sum(
+        f" {verb} " in line
+        for line in run["text"].splitlines()
+        for verb in ("admit", "rescue")
+    )
+    assert len(calls) == placements
 
 
 if __name__ == "__main__":

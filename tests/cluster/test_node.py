@@ -114,6 +114,47 @@ class TestExtentAllocator:
         assert alloc.holes() == ((0, total),)
         assert alloc.fragmentation == 0.0
 
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["alloc", "free", "reset", "restore"]),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_derived_fields_track_the_hole_list(self, ops):
+        """``total_free``, ``largest_free`` and ``fragmentation`` are
+        plain attributes kept up to date by every mutation: after each
+        alloc, free, reset or ``restore(holes())`` they equal a
+        recomputation from :meth:`holes`, ``fragmentation`` exactly
+        (the fleet mean sums these very floats into the journal)."""
+        total = 1000
+        alloc = ExtentAllocator(total)
+        live: list = []
+        for op, magnitude in ops:
+            if op == "alloc" or (op == "free" and not live):
+                extent = alloc.alloc(magnitude % 120 + 1)
+                if extent is not None:
+                    live.append(extent)
+            elif op == "free":
+                alloc.free(live.pop(magnitude % len(live)))
+            elif op == "reset":
+                alloc.reset()
+                live.clear()
+            else:
+                alloc = ExtentAllocator.restore(total, alloc.holes())
+            sizes = [size for _, size in alloc.holes()]
+            free = sum(sizes)
+            largest = max(sizes, default=0)
+            assert alloc.total_free == free
+            assert alloc.largest_free == largest
+            assert alloc.fragmentation == (
+                0.0 if free == 0 else 1.0 - largest / free
+            )
+
     def test_double_free_message_is_pinned(self):
         alloc = ExtentAllocator(100)
         extent = alloc.alloc(10)

@@ -211,3 +211,33 @@ class TestSchedulers:
         report = sim.run()
         first = min(report.tenants, key=lambda t: t.admission_time)
         assert first.node == "node00"
+
+
+class TestPolicyContract:
+    """A policy returns None or an offered node whose largest hole
+    clears the bar; the simulator refuses anything else instead of
+    carving a grant the request never accepted."""
+
+    def test_hole_below_the_bar_is_refused(self):
+        def always_first(nodes, bar):
+            return nodes[0]
+
+        sim = small_sim(seed=5, n_arrivals=24, scheduler=always_first)
+        with pytest.raises(ConfigError, match="broke its contract"):
+            sim.run()
+
+    def test_node_that_is_not_up_is_refused(self):
+        sim = small_sim(seed=5)
+        draining = sim.nodes[0]
+        draining.status = "draining"
+        sim.scheduler = lambda nodes, bar: draining
+        with pytest.raises(ConfigError, match="not an offered node"):
+            sim.run()
+
+    def test_contract_abiding_user_callable_runs(self):
+        def last_fit(nodes, bar):
+            fits = [n for n in nodes if n.largest_free >= bar]
+            return fits[-1] if fits else None
+
+        report = small_sim(seed=5, scheduler=last_fit).run()
+        assert report.accounted

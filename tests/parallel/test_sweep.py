@@ -224,6 +224,21 @@ class TestCacheKey:
             tiny_app, machine, cell, seed=0, fault_plan=other
         ) != faulted
 
+    def test_sweep_writes_the_per_cell_keys(self, tmp_path, machine):
+        """A sweep fingerprints each app once, not once per cell; the
+        keys it stores under must still be exactly the per-cell keys,
+        so caches written before stay warm."""
+        apps = [TinyApp(), SecondApp()]
+        run_sweep(apps, grid=SMALL_GRID, cache_dir=tmp_path)
+        stored = {path.stem for path in tmp_path.glob("*/*.json")}
+        expected = {
+            cell_cache_key(app, machine, cell, seed=0)
+            for app in apps
+            for cell in enumerate_cells(app, SMALL_GRID)
+        }
+        assert len(expected) == 2 * len(enumerate_cells(TinyApp(), SMALL_GRID))
+        assert stored == expected
+
     def test_store_and_load(self, tmp_path):
         cache = ResultCache(tmp_path)
         row = ResultRow(

@@ -237,6 +237,19 @@ class TestFaultFlow:
         assert faults_main(argv + ["--min-survival", "1.01"]) == 1
         assert "fell below" in capsys.readouterr().err
 
+    def test_sweep_clis_accept_every_registered_app(self, tmp_path, capsys):
+        """``repro-experiment`` and ``repro-faults`` take their app
+        choices from the registry, like ``run_sweep`` does: the
+        synthetic phaseshift model is not only a Table I name."""
+        assert experiment_main(["phaseshift"]) == 0
+        assert "-- FOM --" in capsys.readouterr().out
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(seed=4, mcdram_capacity_factor=0.5).save(plan_path)
+        assert faults_main(
+            ["phaseshift", "--plan", str(plan_path), "--factors", "0,1"]
+        ) == 0
+        assert "resilience sweep: phaseshift" in capsys.readouterr().out
+
     def test_faults_rejects_bad_factors(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         FaultPlan(seed=0).save(plan_path)
