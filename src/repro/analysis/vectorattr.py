@@ -47,7 +47,6 @@ placement decisions from.
 
 from __future__ import annotations
 
-import base64
 import zlib
 
 import numpy as np
@@ -66,30 +65,6 @@ from repro.trace.tracefile import TraceFile
 #: Kind code -> tie-break priority (the oracle's ``_PRIORITY`` table:
 #: alloc 0, sample 1, free 2, phase 3).
 _KIND_PRIORITY = np.array([0, 2, 1, 3], dtype=np.uint8)
-
-#: Bump when the :meth:`IncrementalAttributor.to_state` layout changes.
-ATTRIBUTOR_STATE_VERSION = 1
-
-
-def _encode_array(array: np.ndarray) -> dict:
-    """JSON-safe encoding of one NumPy array (dtype + base64 bytes)."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": str(array.dtype),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(encoded: dict) -> np.ndarray:
-    try:
-        return np.frombuffer(
-            base64.b64decode(encoded["data"]), dtype=encoded["dtype"]
-        ).copy()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AttributionError(
-            f"malformed attributor state array: {exc}"
-        ) from exc
-
 
 class _LiveTable:
     """Sorted live-range arrays with in-place shift mutation.
@@ -312,129 +287,21 @@ class IncrementalAttributor:
     def exhausted(self) -> bool:
         return self._consumed >= self._n_events
 
-    # -- checkpoint/restore ------------------------------------------------
+    # -- identity ----------------------------------------------------------
 
     def fingerprint(self) -> str:
         """Cheap identity of the replay order this cursor walks.
 
         Two attributors share a fingerprint exactly when they were
-        built over the same event stream, so a serialised cursor can
-        refuse to resume against the wrong trace.
+        built over the same event stream; the online daemon pins it in
+        its session key, so a decision log never replays against the
+        wrong trace.
         """
         crc = zlib.crc32(self._times_s.tobytes()) & 0xFFFFFFFF
         return (
             f"{self._n_events}:{self._smp_pos.size}:"
             f"{self._mut_pos.size}:{crc:08x}"
         )
-
-    def _chunk(self, chunks: list[np.ndarray], dtype) -> np.ndarray:
-        return (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
-        )
-
-    def to_state(self) -> dict:
-        """JSON-serialisable snapshot of the cursor and its tallies.
-
-        Captures everything :meth:`result` and further advances depend
-        on that is *not* a pure function of the trace: the cursor
-        indices, the live-range table and the accumulated match/alloc
-        tallies. The sorted replay order itself is rebuilt from the
-        trace on :meth:`from_state` (it is deterministic), so states
-        stay small and cannot disagree with the stream they index.
-        """
-        return {
-            "version": ATTRIBUTOR_STATE_VERSION,
-            "fingerprint": self.fingerprint(),
-            "consumed": self._consumed,
-            "next_mut": self._next_mut,
-            "flushed": self._flushed,
-            "table_bases": _encode_array(self._table._bases[: self._table.n]),
-            "table_ends": _encode_array(self._table._ends[: self._table.n]),
-            "table_keys": _encode_array(self._table._keys[: self._table.n]),
-            "alloc_counts": _encode_array(self._alloc_counts),
-            "alloc_totals": _encode_array(self._alloc_totals),
-            "alloc_maxima": _encode_array(self._alloc_maxima),
-            "matched": _encode_array(
-                self._chunk(self._matched_chunks, np.int64)
-            ),
-            "matched_lat": _encode_array(
-                self._chunk(self._matched_lat_chunks, self._samp_lat.dtype)
-            ),
-            "unmatched": _encode_array(
-                self._chunk(self._unmatched_chunks, self._samp_addr.dtype)
-            ),
-        }
-
-    @classmethod
-    def from_state(
-        cls, trace: "ColumnarTrace | TraceFile", state: dict
-    ) -> "IncrementalAttributor":
-        """Rebuild a cursor over ``trace`` at a serialised position.
-
-        The restored attributor's :meth:`result` and every further
-        advance are bit-identical to the attributor the state was
-        taken from. Raises :class:`~repro.errors.AttributionError`
-        when the state is malformed, from an incompatible layout
-        version, or was taken over a different trace.
-        """
-        if not isinstance(state, dict):
-            raise AttributionError("attributor state must be a mapping")
-        if state.get("version") != ATTRIBUTOR_STATE_VERSION:
-            raise AttributionError(
-                "unsupported attributor state version "
-                f"{state.get('version')!r} (expected "
-                f"{ATTRIBUTOR_STATE_VERSION})"
-            )
-        attributor = cls(trace)
-        if state.get("fingerprint") != attributor.fingerprint():
-            raise AttributionError(
-                "attributor state was taken over a different trace "
-                f"(state {state.get('fingerprint')!r}, trace "
-                f"{attributor.fingerprint()!r})"
-            )
-        try:
-            consumed = int(state["consumed"])
-            next_mut = int(state["next_mut"])
-            flushed = int(state["flushed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AttributionError(
-                f"malformed attributor state cursor: {exc}"
-            ) from exc
-        if not (
-            0 <= consumed <= attributor._n_events
-            and 0 <= next_mut <= attributor._mut_pos.size
-            and 0 <= flushed <= attributor._smp_pos.size
-        ):
-            raise AttributionError(
-                "attributor state cursor out of range for this trace"
-            )
-        table = _LiveTable()
-        bases = _decode_array(state["table_bases"])
-        ends = _decode_array(state["table_ends"])
-        keys = _decode_array(state["table_keys"])
-        if not (bases.size == ends.size == keys.size):
-            raise AttributionError(
-                "attributor state live-table columns disagree in length"
-            )
-        table._bases = bases.astype(np.int64)
-        table._ends = ends.astype(np.int64)
-        table._keys = keys.astype(np.int64)
-        table.n = int(bases.size)
-        attributor._table = table
-        attributor._alloc_counts = _decode_array(state["alloc_counts"])
-        attributor._alloc_totals = _decode_array(state["alloc_totals"])
-        attributor._alloc_maxima = _decode_array(state["alloc_maxima"])
-        if attributor._alloc_counts.size != len(attributor._keys):
-            raise AttributionError(
-                "attributor state tallies sized for a different key table"
-            )
-        attributor._matched_chunks = [_decode_array(state["matched"])]
-        attributor._matched_lat_chunks = [_decode_array(state["matched_lat"])]
-        attributor._unmatched_chunks = [_decode_array(state["unmatched"])]
-        attributor._consumed = consumed
-        attributor._next_mut = next_mut
-        attributor._flushed = flushed
-        return attributor
 
     # -- advancing ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from repro.analysis.paramedir import (
     write_profiles_csv,
 )
 from repro.apps import ALL_APP_NAMES, get_app
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import run_resilience_sweep
 from repro.machine.config import xeon_phi_7250
@@ -548,14 +548,15 @@ def online_main(argv: list[str] | None = None) -> int:
                         "kinds (window drop/corrupt/late, migration "
                         "failures) degrade the serving loop")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="persist the daemon state here after "
-                        "every window; a killed session resumes with "
+                        help="append each settled window to a decision "
+                        "log here; a killed session resumes with "
                         "--resume")
     parser.add_argument("--resume", action="store_true",
-                        help="replay the checkpoint in "
-                        "--checkpoint-dir (if any) and execute only "
-                        "the remaining windows; the journal stays "
-                        "byte-identical to an uninterrupted run")
+                        help="re-execute the windows logged in "
+                        "--checkpoint-dir (if any), verifying each "
+                        "against the log, then run the rest; the "
+                        "journal stays byte-identical to an "
+                        "uninterrupted run")
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per window decision; "
@@ -750,11 +751,6 @@ def cluster_main(argv: list[str] | None = None) -> int:
         from repro.ioutil import atomic_write_text
         from repro.machine.performance import MIGRATION_BANDWIDTH_DEFAULT
 
-        if args.resume and args.checkpoint_dir is None:
-            raise ConfigError(
-                "--resume needs --checkpoint-dir: there is no checkpoint "
-                "to resume from without one"
-            )
         mix_kwargs = {}
         if args.apps is not None:
             mix_kwargs["mix"] = tuple(

@@ -58,8 +58,11 @@ from repro.cluster.backpressure import (
     BackpressurePolicy,
 )
 from repro.cluster.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
     cluster_session_key,
+    hysteresis_state,
     load_cluster_checkpoint,
+    restore_hysteresis,
     save_cluster_checkpoint,
 )
 from repro.cluster.events import (
@@ -91,7 +94,6 @@ from repro.machine.performance import (
     ExecutionModel,
     PlacedTraffic,
 )
-from repro.online.checkpoint import CHECKPOINT_SCHEMA_VERSION
 from repro.online.migration import HysteresisFilter, diff_placements
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.placement.policies import traffic_for_sites
@@ -947,7 +949,7 @@ class ClusterSim:
                             "extent": [t.extent.offset, t.extent.size],
                             "sites": sorted(t.sites),
                             "fom_isolated": t.fom_isolated,
-                            "hysteresis": t.hysteresis.to_state(),
+                            "hysteresis": hysteresis_state(t.hysteresis),
                             "admission_time": t.admission_time,
                             "progress": t.progress,
                             "rate": t.rate,
@@ -1060,9 +1062,7 @@ class ClusterSim:
                             fw.app, node.spec.machine, fw.profile(), sites
                         ),
                         fom_isolated=float(ts["fom_isolated"]),
-                        hysteresis=HysteresisFilter.from_state(
-                            ts["hysteresis"]
-                        ),
+                        hysteresis=restore_hysteresis(ts["hysteresis"]),
                         admission_time=float(ts["admission_time"]),
                         progress=float(ts["progress"]),
                         rate=float(ts["rate"]),

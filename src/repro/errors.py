@@ -241,8 +241,9 @@ class TransientMigrationError(MigrationError):
 
 
 class CheckpointError(ReproError):
-    """An online-daemon checkpoint is unreadable, fails its checksum,
-    or belongs to a different session than the one being resumed."""
+    """A cluster checkpoint or an online decision log is unreadable,
+    fails its checksum, belongs to a different session than the one
+    being resumed, or (a decision log) does not replay."""
 
     category = CATEGORY_POISONED
 

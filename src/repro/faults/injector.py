@@ -138,7 +138,7 @@ class FaultInjector:
 
         Keyed on (seed, application, window index) only, so a resumed
         session reaches the same verdicts as the run it replaces —
-        the checkpoint/restore byte-identity guarantee depends on it.
+        the resume-by-replay byte-identity guarantee depends on it.
         """
         plan = self.plan
         u = _unit(plan.seed, "window", application, window_index)

@@ -1,15 +1,9 @@
 """Online re-advising: windowed attribution, migration, scoring —
-hardened with checkpoint/restore, degraded windows and migration
-rollback."""
+hardened with degraded windows, migration rollback and resume by
+deterministic replay of a per-window decision log."""
 
-from repro.online.checkpoint import (
-    CHECKPOINT_FILENAME,
-    checkpoint_path,
-    load_checkpoint,
-    save_checkpoint,
-    session_key,
-)
 from repro.online.daemon import (
+    DECISION_LOG_FILENAME,
     OnlineConfig,
     OnlineDaemon,
     OnlineRun,
@@ -33,7 +27,7 @@ from repro.online.scoring import (
 )
 
 __all__ = [
-    "CHECKPOINT_FILENAME",
+    "DECISION_LOG_FILENAME",
     "DEMOTE",
     "PROMOTE",
     "HysteresisFilter",
@@ -44,14 +38,10 @@ __all__ = [
     "OnlineOutcome",
     "OnlineRun",
     "WindowDecision",
-    "checkpoint_path",
     "diff_placements",
     "evaluate_one_shot",
     "evaluate_online",
-    "load_checkpoint",
     "run_online",
     "run_windowed",
-    "save_checkpoint",
-    "session_key",
     "windowed_cost",
 ]

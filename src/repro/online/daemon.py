@@ -44,22 +44,32 @@ scale):
   construction. Repeated deterministic failures open a migration
   circuit breaker (:class:`repro.retry.CircuitBreaker`): further
   migrations freeze while advice continues.
-* **Crashes.** With a checkpoint directory the daemon persists its
-  full state after every window (:mod:`repro.online.checkpoint`);
-  ``resume=True`` replays the checkpoint and finishes the remaining
-  windows. The decision journal after a SIGKILL + resume is
-  byte-identical to an uninterrupted run's.
+* **Crashes.** With a checkpoint directory the daemon appends one
+  fsynced, CRC-framed record per settled window to a decision log
+  (the sweep journal's writer, :mod:`repro.parallel.journal`): the
+  window's journal line and whether the deadline watchdog froze it.
+  ``resume=True`` re-executes the session from window 0, checks every
+  logged window's regenerated line against the log
+  (:class:`~repro.errors.CheckpointError` names the first that
+  differs), replays logged deadline freezes instead of re-timing
+  them, and appends from the first unlogged window. There is no
+  state snapshot: a resume re-derives everything it needs. The
+  decision journal after a SIGKILL + resume is byte-identical to an
+  uninterrupted run's.
 
 The whole loop is deterministic given (trace, budget, config, fault
 plan): every fault verdict is keyed on stable identities (window
-index, site, direction, attempt), never on wall-clock time, so the
-emitted decision journal is byte-stable across runs *and* across
-kill/resume cycles — which is what the CI online-smoke and
-online-chaos jobs assert.
+index, site, direction, attempt), never on wall-clock time. The one
+wall-clock input, the decision deadline, is logged, so the emitted
+decision journal is byte-stable across runs *and* across kill/resume
+cycles — which is what the CI online-smoke and online-chaos jobs
+assert.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -74,6 +84,7 @@ from repro.errors import (
     CATEGORY_TRANSIENT,
     CheckpointError,
     ConfigError,
+    JournalError,
     ReproError,
     classify_error,
 )
@@ -85,12 +96,6 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.machine.performance import MIGRATION_BANDWIDTH_DEFAULT
-from repro.online.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    load_checkpoint,
-    save_checkpoint,
-    session_key,
-)
 from repro.online.migration import (
     DEMOTE,
     PROMOTE,
@@ -99,6 +104,7 @@ from repro.online.migration import (
     MigrationFailure,
     diff_placements,
 )
+from repro.parallel.journal import SweepJournal, read_journal
 from repro.retry import CircuitBreaker, backoff_delay
 
 #: Default window count (referenced by the mutual-exclusion check:
@@ -114,6 +120,36 @@ REASON_OF_FATE = {
 }
 REASON_DEADLINE = "deadline"
 REASON_CIRCUIT = "circuit-open"
+
+#: File name of the decision log inside the checkpoint directory.
+DECISION_LOG_FILENAME = "online.log"
+
+
+def session_key(
+    application: str,
+    budget_real: int,
+    seed: int,
+    config: dict,
+    trace_fingerprint: str,
+) -> str:
+    """Content hash pinning one online session's identity.
+
+    Any difference in application, budget, seed, configuration or the
+    profiled trace itself yields a different key, so a decision log
+    can only ever resume the exact session that wrote it.
+    """
+    canonical = json.dumps(
+        {
+            "application": application,
+            "budget_real": budget_real,
+            "seed": seed,
+            "config": config,
+            "trace": trace_fingerprint,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,6 +254,34 @@ class WindowDecision:
     #: Migrations that finally failed and were rolled back.
     failed: tuple[MigrationFailure, ...] = ()
 
+    def journal_line(self) -> str:
+        """This window's line of the decision journal."""
+        moves = (
+            " ".join(
+                f"{a.direction}={a.site}:{a.bytes_real}" for a in self.actions
+            )
+            or "hold"
+        )
+        line = (
+            f"window {self.index} [{self.t0:.6f},{self.t1:.6f}) "
+            f"advised={_names(self.advised)} applied={_names(self.applied)} "
+            f"{moves}"
+        )
+        if self.degraded:
+            line += f" degraded={self.reason}"
+        elif self.reason is not None:
+            line += f" frozen={self.reason}"
+        for failure in self.failed:
+            line += (
+                f" failed={failure.direction}:{failure.site}:"
+                f"{failure.category}@{failure.attempts}"
+            )
+        return line
+
+
+def _names(sites: tuple[str, ...]) -> str:
+    return ",".join(sites) if sites else "-"
+
 
 @dataclass
 class OnlineRun:
@@ -263,38 +327,12 @@ class OnlineRun:
 
     def journal_lines(self) -> list[str]:
         """Deterministic one-line-per-window decision journal."""
-
-        def names(sites: tuple[str, ...]) -> str:
-            return ",".join(sites) if sites else "-"
-
         lines = [
             f"# repro-online {self.application} "
             f"budget={self.budget_real} strategy={self.config.strategy} "
             f"confirm={self.config.confirm_windows}"
         ]
-        for d in self.decisions:
-            moves = (
-                " ".join(
-                    f"{a.direction}={a.site}:{a.bytes_real}"
-                    for a in d.actions
-                )
-                or "hold"
-            )
-            line = (
-                f"window {d.index} [{d.t0:.6f},{d.t1:.6f}) "
-                f"advised={names(d.advised)} applied={names(d.applied)} "
-                f"{moves}"
-            )
-            if d.degraded:
-                line += f" degraded={d.reason}"
-            elif d.reason is not None:
-                line += f" frozen={d.reason}"
-            for failure in d.failed:
-                line += (
-                    f" failed={failure.direction}:{failure.site}:"
-                    f"{failure.category}@{failure.attempts}"
-                )
-            lines.append(line)
+        lines.extend(d.journal_line() for d in self.decisions)
         lines.append(f"migrated_bytes={self.migrated_bytes_real}")
         lines.append(
             f"migration_failures={self.migration_failures} "
@@ -340,78 +378,6 @@ def _window_profile(
     )
 
 
-# -- checkpoint (de)serialisation of decisions ------------------------------
-
-
-def _action_to_dict(action: MigrationAction) -> dict:
-    return {
-        "site": action.site,
-        "direction": action.direction,
-        "bytes_real": action.bytes_real,
-        "window": action.window,
-    }
-
-
-def _failure_to_dict(failure: MigrationFailure) -> dict:
-    return {
-        "site": failure.site,
-        "direction": failure.direction,
-        "window": failure.window,
-        "attempts": failure.attempts,
-        "category": failure.category,
-    }
-
-
-def _decision_to_dict(decision: WindowDecision) -> dict:
-    return {
-        "index": decision.index,
-        "t0": decision.t0,
-        "t1": decision.t1,
-        "advised": list(decision.advised),
-        "applied": list(decision.applied),
-        "actions": [_action_to_dict(a) for a in decision.actions],
-        "degraded": decision.degraded,
-        "reason": decision.reason,
-        "failed": [_failure_to_dict(f) for f in decision.failed],
-    }
-
-
-def _decision_from_dict(data: dict) -> WindowDecision:
-    try:
-        return WindowDecision(
-            index=int(data["index"]),
-            t0=float(data["t0"]),
-            t1=float(data["t1"]),
-            advised=tuple(str(s) for s in data["advised"]),
-            applied=tuple(str(s) for s in data["applied"]),
-            actions=tuple(
-                MigrationAction(
-                    site=str(a["site"]),
-                    direction=str(a["direction"]),
-                    bytes_real=int(a["bytes_real"]),
-                    window=int(a["window"]),
-                )
-                for a in data["actions"]
-            ),
-            degraded=bool(data.get("degraded", False)),
-            reason=data.get("reason"),
-            failed=tuple(
-                MigrationFailure(
-                    site=str(f["site"]),
-                    direction=str(f["direction"]),
-                    window=int(f["window"]),
-                    attempts=int(f["attempts"]),
-                    category=str(f["category"]),
-                )
-                for f in data.get("failed", [])
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"malformed checkpointed decision: {exc}"
-        ) from exc
-
-
 class OnlineDaemon:
     """One online session: the hardened serving loop plus its state.
 
@@ -438,8 +404,14 @@ class OnlineDaemon:
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
+        if resume and self.checkpoint_dir is None:
+            raise ConfigError(
+                "--resume needs --checkpoint-dir: there is no decision "
+                "log to resume from without one"
+            )
         self.resume = resume
         self._clock = clock
+        self._log: SweepJournal | None = None
         plan = framework.fault_plan
         self._injector = (
             FaultInjector(plan)
@@ -464,103 +436,51 @@ class OnlineDaemon:
             t += span
         return boundaries
 
-    # -- checkpointing ---------------------------------------------------
+    # -- the decision log --------------------------------------------------
 
-    def _checkpoint_payload(self, next_window: int, completed: bool) -> dict:
-        run = self.run_record
-        return {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "session": self._session,
-            "application": run.application,
-            "budget_real": run.budget_real,
-            "seed": self.framework.seed,
-            "config": asdict(self.config),
-            "next_window": next_window,
-            "completed": completed,
-            "active": sorted(self.active),
-            "hysteresis": self.hysteresis.to_state(),
-            "attributor": self.attributor.to_state(),
-            "prev_consumed": self._prev_consumed,
-            "decisions": [_decision_to_dict(d) for d in run.decisions],
-            "schedule": [
-                [t0, t1, sorted(sites)] for t0, t1, sites in run.schedule
-            ],
-            "migrated_bytes_real": run.migrated_bytes_real,
-            "migration_failures": run.migration_failures,
-            "migration_retries_used": run.migration_retries_used,
-            "retry_budget_left": self._retry_budget_left,
-            "circuit_failures": self._breaker.failures.get(
-                run.application, 0
-            ),
-            "circuit_open": run.circuit_open,
-        }
+    def _open_log(self) -> list[dict]:
+        """Open the decision log for appending; return the windows it
+        already holds, in order (none unless resuming).
 
-    def _write_checkpoint(self, next_window: int, completed: bool) -> None:
-        if self.checkpoint_dir is None:
-            return
-        save_checkpoint(
-            self.checkpoint_dir,
-            self._checkpoint_payload(next_window, completed),
-        )
-
-    def _restore(self, payload: dict, trace) -> int:
-        """Rebuild session state from a checkpoint; returns the next
-        window index to execute."""
-        if payload.get("session") != self._session:
-            raise CheckpointError(
-                "checkpoint belongs to a different online session "
-                f"(checkpoint {payload.get('session')!r}, this session "
-                f"{self._session!r}); use a fresh --checkpoint-dir"
-            )
-        run = self.run_record
+        A fresh session truncates any prior log. A resume refuses a
+        foreign session's log before touching it, then truncates a
+        torn tail and appends after the last whole record.
+        """
+        directory = self.checkpoint_dir
+        path = directory / DECISION_LOG_FILENAME
+        manifest = {"session_key": self._session}
         try:
-            run.decisions = [
-                _decision_from_dict(d) for d in payload["decisions"]
-            ]
-            run.schedule = [
-                (float(t0), float(t1), frozenset(str(s) for s in sites))
-                for t0, t1, sites in payload["schedule"]
-            ]
-            run.migrated_bytes_real = int(payload["migrated_bytes_real"])
-            run.migration_failures = int(payload["migration_failures"])
-            run.migration_retries_used = int(
-                payload["migration_retries_used"]
+            if not self.resume:
+                self._log = SweepJournal.create(
+                    directory, manifest, DECISION_LOG_FILENAME
+                )
+                return []
+            if path.exists():
+                theirs = (read_journal(path).manifest or {}).get(
+                    "session_key"
+                )
+                if theirs != self._session:
+                    raise CheckpointError(
+                        f"{path}: decision log belongs to a different "
+                        f"online session (log {theirs!r}, this session "
+                        f"{self._session!r}); use a fresh --checkpoint-dir"
+                    )
+            self._log, replay = SweepJournal.resume(
+                directory, manifest, DECISION_LOG_FILENAME
             )
-            run.circuit_open = bool(payload["circuit_open"])
-            self.active = frozenset(
-                str(s) for s in payload["active"]
-            )
-            self._retry_budget_left = int(payload["retry_budget_left"])
-            circuit_failures = int(payload["circuit_failures"])
-            next_window = int(payload["next_window"])
-            prev_consumed = payload["prev_consumed"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint payload: {exc}"
-            ) from exc
-        try:
-            self.hysteresis = HysteresisFilter.from_state(
-                payload["hysteresis"]
-            )
-            self.attributor = IncrementalAttributor.from_state(
-                trace, payload["attributor"]
-            )
-        except ReproError as exc:
-            raise CheckpointError(
-                f"checkpoint state does not restore: {exc}"
-            ) from exc
-        if circuit_failures:
-            self._breaker.failures[run.application] = circuit_failures
-        self._prev_consumed = prev_consumed
-        self._previous_snapshot = None
-        if prev_consumed is not None:
-            # The previous window's snapshot is a pure function of the
-            # cursor position it was taken at: replay a fresh cursor to
-            # that position instead of serialising ObjectKey tables.
-            replay = IncrementalAttributor(trace)
-            replay.advance_events(int(prev_consumed))
-            self._previous_snapshot = replay.result()
-        return next_window
+        except JournalError as exc:
+            raise CheckpointError(str(exc)) from exc
+        logged: list[dict] = []
+        while (record := replay.settled.get(str(len(logged)))) is not None:
+            if not (
+                isinstance(record.get("line"), str)
+                and isinstance(record.get("deadline"), bool)
+            ):
+                raise CheckpointError(
+                    f"{path}: malformed record for window {len(logged)}"
+                )
+            logged.append(record)
+        return logged
 
     # -- migration execution --------------------------------------------
 
@@ -687,8 +607,7 @@ class OnlineDaemon:
         )
         self._breaker = CircuitBreaker(config.migration_circuit_threshold)
         self._retry_budget_left = config.migration_error_budget
-        self._previous_snapshot: AttributionResult | None = None
-        self._prev_consumed: int | None = None
+        previous_snapshot: AttributionResult | None = None
         # Wall-clock-only knobs (pauses, retry sleeps) never touch the
         # decision stream, so they must not pin session identity — a
         # run stretched for chaos testing resumes without them.
@@ -706,101 +625,126 @@ class OnlineDaemon:
             self.attributor.fingerprint(),
         )
 
-        start_index = 0
-        if self.checkpoint_dir is not None and self.resume:
-            payload = load_checkpoint(self.checkpoint_dir)
-            if payload is not None:
-                start_index = self._restore(payload, profiling.trace)
-                if payload.get("completed"):
-                    return self.run_record
-
         advisor = HmemAdvisor(framework.memory_spec(self.budget_real))
         run = self.run_record
         last = len(boundaries) - 1
-        for index in range(start_index, last + 1):
-            t0, t1 = boundaries[index]
-            run.schedule.append((t0, t1, self.active))
-            if config.window_pause_seconds > 0:
-                time.sleep(config.window_pause_seconds)
-            started = self._clock()
-            if index == last:
-                self.attributor.advance_all()  # samples at exactly t=end
-            else:
-                self.attributor.advance_time(t1)
-            snapshot = self.attributor.result()
-
-            fate = (
-                self._injector.window_fate(app.name, index)
-                if self._injector is not None
-                else WINDOW_OK
+        try:
+            logged = (
+                self._open_log() if self.checkpoint_dir is not None else []
             )
-            if fate != WINDOW_OK:
-                # Unusable sample batch: freeze the placement, decay
-                # streaks, journal the reason. Late samples stay
-                # pending (the next delta spans both windows); dropped
-                # and corrupt batches are excluded from every delta.
-                if fate != WINDOW_LATE:
-                    self._previous_snapshot = snapshot
-                    self._prev_consumed = self.attributor.consumed_events
-                decision = self._freeze(
-                    index, t0, t1, REASON_OF_FATE[fate]
+            for index, (t0, t1) in enumerate(boundaries):
+                replaying = index < len(logged)
+                run.schedule.append((t0, t1, self.active))
+                if config.window_pause_seconds > 0 and not replaying:
+                    time.sleep(config.window_pause_seconds)
+                started = self._clock()
+                if index == last:
+                    self.attributor.advance_all()  # samples at exactly t=end
+                else:
+                    self.attributor.advance_time(t1)
+                snapshot = self.attributor.result()
+
+                fate = (
+                    self._injector.window_fate(app.name, index)
+                    if self._injector is not None
+                    else WINDOW_OK
                 )
-            else:
-                profiles = _window_profile(
-                    snapshot,
-                    self._previous_snapshot,
-                    framework.tracer_config.sampling_period,
-                    app.name,
-                )
-                report = advisor.advise(profiles, strategy)
-                advised = frozenset(
-                    site_of[identity]
-                    for identity in report.selected_keys(fast_tier)
-                    if identity in site_of
-                )
-                self._previous_snapshot = snapshot
-                self._prev_consumed = self.attributor.consumed_events
-                elapsed = self._clock() - started
-                if (
-                    config.decision_deadline_seconds is not None
-                    and elapsed > config.decision_deadline_seconds
-                ):
-                    # Watchdog: the decision took too long to still be
-                    # actionable — treat it exactly like a lost window.
+                if fate != WINDOW_OK:
+                    # Unusable sample batch: freeze the placement, decay
+                    # streaks, journal the reason. Late samples stay
+                    # pending (the next delta spans both windows);
+                    # dropped and corrupt batches are excluded from
+                    # every delta.
+                    if fate != WINDOW_LATE:
+                        previous_snapshot = snapshot
                     decision = self._freeze(
-                        index, t0, t1, REASON_DEADLINE
-                    )
-                elif self._breaker.is_open(app.name):
-                    # Migration circuit open: advice continues (and is
-                    # journalled), movement does not.
-                    decision = WindowDecision(
-                        index=index,
-                        t0=t0,
-                        t1=t1,
-                        advised=tuple(sorted(advised)),
-                        applied=tuple(sorted(self.active)),
-                        actions=(),
-                        reason=REASON_CIRCUIT,
+                        index, t0, t1, REASON_OF_FATE[fate]
                     )
                 else:
-                    new_active, actions, failures = self._apply_placement(
-                        advised, index
+                    profiles = _window_profile(
+                        snapshot,
+                        previous_snapshot,
+                        framework.tracer_config.sampling_period,
+                        app.name,
                     )
-                    decision = WindowDecision(
-                        index=index,
-                        t0=t0,
-                        t1=t1,
-                        advised=tuple(sorted(advised)),
-                        applied=tuple(sorted(new_active)),
-                        actions=actions,
-                        failed=failures,
+                    report = advisor.advise(profiles, strategy)
+                    advised = frozenset(
+                        site_of[identity]
+                        for identity in report.selected_keys(fast_tier)
+                        if identity in site_of
                     )
-                    self.active = new_active
-            run.decisions.append(decision)
-            self._write_checkpoint(
-                next_window=index + 1, completed=index == last
-            )
+                    previous_snapshot = snapshot
+                    if replaying:
+                        # The watchdog is an input: a logged window
+                        # froze for the deadline iff the log says so.
+                        timed_out = logged[index]["deadline"]
+                    else:
+                        timed_out = (
+                            config.decision_deadline_seconds is not None
+                            and self._clock() - started
+                            > config.decision_deadline_seconds
+                        )
+                    if timed_out:
+                        # Watchdog: the decision took too long to still
+                        # be actionable — treat it exactly like a lost
+                        # window.
+                        decision = self._freeze(
+                            index, t0, t1, REASON_DEADLINE
+                        )
+                    elif self._breaker.is_open(app.name):
+                        # Migration circuit open: advice continues (and
+                        # is journalled), movement does not.
+                        decision = WindowDecision(
+                            index=index,
+                            t0=t0,
+                            t1=t1,
+                            advised=tuple(sorted(advised)),
+                            applied=tuple(sorted(self.active)),
+                            actions=(),
+                            reason=REASON_CIRCUIT,
+                        )
+                    else:
+                        new_active, actions, failures = (
+                            self._apply_placement(advised, index)
+                        )
+                        decision = WindowDecision(
+                            index=index,
+                            t0=t0,
+                            t1=t1,
+                            advised=tuple(sorted(advised)),
+                            applied=tuple(sorted(new_active)),
+                            actions=actions,
+                            failed=failures,
+                        )
+                        self.active = new_active
+                run.decisions.append(decision)
+                if self._log is not None:
+                    self._settle(decision, logged)
+        finally:
+            if self._log is not None:
+                self._log.close()
         return run
+
+    def _settle(self, decision: WindowDecision, logged: list[dict]) -> None:
+        """Check a replayed window against its logged line, or log a
+        new one (fsynced before the next window starts)."""
+        line = decision.journal_line()
+        index = decision.index
+        if index < len(logged):
+            if line != logged[index]["line"]:
+                raise CheckpointError(
+                    f"{self._log.path}: window {index} does not replay "
+                    f"(logged {logged[index]['line']!r}, re-executed "
+                    f"{line!r})"
+                )
+        else:
+            self._log.record_outcome(
+                {
+                    "key": str(index),
+                    "line": line,
+                    "deadline": decision.reason == REASON_DEADLINE,
+                }
+            )
 
     def _freeze(
         self, index: int, t0: float, t1: float, reason: str
@@ -829,11 +773,11 @@ def run_online(
 ) -> OnlineRun:
     """Drive one full online session over ``framework``'s application.
 
-    Returns the :class:`OnlineRun`. With ``checkpoint_dir`` the
-    session state is persisted after every window; ``resume=True``
-    replays an existing checkpoint (if any) and executes only the
-    remaining windows — the decision journal is byte-identical either
-    way.
+    Returns the :class:`OnlineRun`. With ``checkpoint_dir`` every
+    settled window is appended to a decision log; ``resume=True``
+    re-executes the windows that log holds, verifies each against it,
+    and continues from the first unlogged one — the decision journal
+    is byte-identical either way.
     """
     return OnlineDaemon(
         framework,

@@ -146,30 +146,3 @@ class HysteresisFilter:
         """
         self._applied = frozenset(self._applied ^ {site})
         self._streaks.pop(site, None)
-
-    # -- checkpoint/restore --------------------------------------------
-
-    def to_state(self) -> dict:
-        """JSON-serialisable snapshot (checkpointed every window)."""
-        return {
-            "confirm_windows": self.confirm_windows,
-            "applied": sorted(self._applied),
-            "streaks": dict(sorted(self._streaks.items())),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "HysteresisFilter":
-        try:
-            instance = cls(int(state["confirm_windows"]))
-            instance._applied = frozenset(
-                str(s) for s in state.get("applied", [])
-            )
-            instance._streaks = {
-                str(site): int(streak)
-                for site, streak in dict(state.get("streaks", {})).items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"malformed hysteresis state: {exc}"
-            ) from exc
-        return instance

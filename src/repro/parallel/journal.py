@@ -183,8 +183,17 @@ class SweepJournal:
     # -- opening --------------------------------------------------------
 
     @classmethod
-    def create(cls, directory: str | Path, manifest: dict) -> "SweepJournal":
-        """Start a fresh journal (truncating any prior one)."""
+    def create(
+        cls,
+        directory: str | Path,
+        manifest: dict,
+        filename: str = JOURNAL_FILENAME,
+    ) -> "SweepJournal":
+        """Start a fresh journal (truncating any prior one).
+
+        ``filename`` names the file inside ``directory``; the online
+        daemon keeps its decision log through this same writer.
+        """
         directory = Path(directory)
         try:
             directory.mkdir(parents=True, exist_ok=True)
@@ -192,7 +201,7 @@ class SweepJournal:
             raise JournalError(
                 f"journal dir {directory} is not a directory"
             ) from exc
-        path = directory / JOURNAL_FILENAME
+        path = directory / filename
         fh = open(path, "w", encoding="utf-8")
         journal = cls(path, fh)
         journal.append(RECORD_MANIFEST, manifest)
@@ -202,7 +211,10 @@ class SweepJournal:
 
     @classmethod
     def resume(
-        cls, directory: str | Path, manifest: dict
+        cls,
+        directory: str | Path,
+        manifest: dict,
+        filename: str = JOURNAL_FILENAME,
     ) -> tuple["SweepJournal", JournalReplay]:
         """Reopen an existing journal and return its replay state.
 
@@ -213,9 +225,9 @@ class SweepJournal:
         clean boundary.
         """
         directory = Path(directory)
-        path = directory / JOURNAL_FILENAME
+        path = directory / filename
         if not path.exists():
-            return cls.create(directory, manifest), JournalReplay()
+            return cls.create(directory, manifest, filename), JournalReplay()
         replay = read_journal(path)
         if replay.manifest is None:
             raise JournalError(

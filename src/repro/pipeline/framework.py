@@ -287,8 +287,8 @@ class HybridMemoryFramework:
         instead of the batch advise-once ``run()``. Returns an
         :class:`repro.online.OnlineOutcome` pairing the online session
         with its matched one-shot baseline. With ``checkpoint_dir`` the
-        session checkpoints after every window; ``resume=True`` picks
-        an interrupted session back up from that checkpoint.
+        session logs every settled window; ``resume=True`` re-executes
+        and verifies the logged windows, then runs the rest.
         """
         # Local import: repro.online drives this framework, so a
         # module-level import would be circular.

@@ -12,16 +12,13 @@ from repro.cluster import (
     make_fleet,
 )
 from repro.cluster.checkpoint import (
-    CLUSTER_CHECKPOINT_FILENAME,
+    CHECKPOINT_SCHEMA_VERSION,
     cluster_checkpoint_path,
     load_cluster_checkpoint,
     save_cluster_checkpoint,
 )
 from repro.errors import CheckpointError, ConfigError
-from repro.online.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    save_checkpoint,
-)
+from repro.parallel.journal import encode_record
 from repro.units import MIB
 
 MIX = ("phaseshift", "minife")
@@ -136,10 +133,11 @@ class TestResumeGuards:
     def test_wrong_record_type_refuses(self, tmp_path):
         # An *online* checkpoint squatting on the cluster file name
         # must be called out by kind, not parsed on faith.
-        save_checkpoint(
-            tmp_path,
-            {"schema": CHECKPOINT_SCHEMA_VERSION},
-            filename=CLUSTER_CHECKPOINT_FILENAME,
+        cluster_checkpoint_path(tmp_path).write_text(
+            encode_record(
+                "online-checkpoint", {"schema": CHECKPOINT_SCHEMA_VERSION}
+            )
+            + "\n"
         )
         with pytest.raises(
             CheckpointError, match="not a cluster checkpoint"

@@ -18,9 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import cluster_main
-from repro.cluster.checkpoint import load_cluster_checkpoint
+from repro.cluster.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
+    load_cluster_checkpoint,
+)
 from repro.faults.plan import FaultPlan
-from repro.online.checkpoint import CHECKPOINT_SCHEMA_VERSION
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

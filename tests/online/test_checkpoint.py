@@ -1,4 +1,7 @@
-"""Daemon checkpoint/restore: durability, identity, byte-equality."""
+"""Daemon resume by deterministic replay of its decision log:
+durability, identity, verification, byte-equality."""
+
+import itertools
 
 import pytest
 
@@ -6,14 +9,19 @@ from repro.apps.registry import get_app
 from repro.errors import CheckpointError
 from repro.faults import FaultPlan
 from repro.online import (
+    DECISION_LOG_FILENAME,
     OnlineConfig,
-    checkpoint_path,
-    load_checkpoint,
+    OnlineDaemon,
     run_online,
-    save_checkpoint,
-    session_key,
 )
-from repro.online import daemon as daemon_mod
+from repro.online.daemon import session_key
+from repro.parallel.journal import (
+    RECORD_OUTCOME,
+    SweepJournal,
+    decode_record,
+    encode_record,
+    read_journal,
+)
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.units import MIB
 
@@ -46,26 +54,58 @@ class _CrashAfter(Exception):
     pass
 
 
-def run_until_checkpoint(k: int, directory, monkeypatch) -> None:
-    """Run a session but die (exception) right after the k-th
-    checkpoint write — state through window k is durable, the rest
-    never happened."""
-    real = daemon_mod.save_checkpoint
+def run_until_logged(k: int, directory, monkeypatch, session=None) -> None:
+    """Run a session but die (exception) right after the k-th window
+    record is appended — windows 0..k-1 are durable, the rest never
+    happened. ``session`` runs instead of the default faulted one."""
+    real = SweepJournal.record_outcome
     calls = {"n": 0}
 
-    def crashing(d, payload):
-        real(d, payload)
+    def crashing(journal, payload):
+        real(journal, payload)
         calls["n"] += 1
         if calls["n"] == k:
             raise _CrashAfter
 
-    monkeypatch.setattr(daemon_mod, "save_checkpoint", crashing)
+    monkeypatch.setattr(SweepJournal, "record_outcome", crashing)
     with pytest.raises(_CrashAfter):
-        run_online(
-            fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
-            checkpoint_dir=directory,
+        if session is None:
+            run_online(
+                fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
+                checkpoint_dir=directory,
+            )
+        else:
+            session()
+    monkeypatch.setattr(SweepJournal, "record_outcome", real)
+
+
+def log_path(directory):
+    return directory / DECISION_LOG_FILENAME
+
+
+def logged_windows(directory) -> list[str]:
+    """Window keys of the log's window records, in file order."""
+    return [
+        payload["key"]
+        for record_type, payload in (
+            decode_record(line)
+            for line in log_path(directory).read_text().splitlines()
         )
-    monkeypatch.setattr(daemon_mod, "save_checkpoint", real)
+        if record_type == RECORD_OUTCOME
+    ]
+
+
+def rewrite_window(directory, index: int, edit) -> None:
+    """Re-encode window ``index``'s record after ``edit(payload)`` —
+    a well-formed record with a valid checksum, but other contents."""
+    path = log_path(directory)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        record_type, payload = decode_record(line)
+        if record_type == RECORD_OUTCOME and payload["key"] == str(index):
+            edit(payload)
+            lines[i] = encode_record(record_type, payload)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestResume:
@@ -75,30 +115,25 @@ class TestResume:
     ):
         """Die after any window; the resumed session's journal equals
         the uninterrupted run's, byte for byte — faults included."""
-        run_until_checkpoint(k, tmp_path, monkeypatch)
+        run_until_logged(k, tmp_path, monkeypatch)
         resumed = run_online(
             fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
             checkpoint_dir=tmp_path, resume=True,
         )
         assert resumed.journal_lines() == baseline_journal
 
-    def test_resume_skips_settled_windows(self, tmp_path, monkeypatch):
+    def test_resume_appends_only_unlogged_windows(
+        self, tmp_path, monkeypatch
+    ):
         """After a crash at window k the resumed session re-executes
-        only the remaining windows (counted via checkpoint writes)."""
-        run_until_checkpoint(6, tmp_path, monkeypatch)
-        writes = []
-        real = daemon_mod.save_checkpoint
-
-        def counting(d, payload):
-            writes.append(payload["next_window"])
-            return real(d, payload)
-
-        monkeypatch.setattr(daemon_mod, "save_checkpoint", counting)
+        the logged windows (verifying them) and logs only the rest."""
+        run_until_logged(6, tmp_path, monkeypatch)
+        assert logged_windows(tmp_path) == [str(i) for i in range(6)]
         run_online(
             fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
             checkpoint_dir=tmp_path, resume=True,
         )
-        assert writes == list(range(7, 17))
+        assert logged_windows(tmp_path) == [str(i) for i in range(16)]
 
     def test_resume_from_completed_checkpoint_is_pure_replay(
         self, tmp_path, baseline_journal
@@ -112,19 +147,22 @@ class TestResume:
             checkpoint_dir=tmp_path, resume=True,
         )
         assert replayed.journal_lines() == baseline_journal
-        assert load_checkpoint(tmp_path)["completed"] is True
+        replay = read_journal(log_path(tmp_path))
+        assert len(replay.settled) == 16
+        assert logged_windows(tmp_path) == [str(i) for i in range(16)]
 
     def test_without_resume_flag_checkpoint_is_overwritten(
         self, tmp_path, monkeypatch, baseline_journal
     ):
         """checkpoint_dir without resume starts from scratch (and still
         produces the same journal, because the loop is deterministic)."""
-        run_until_checkpoint(3, tmp_path, monkeypatch)
+        run_until_logged(3, tmp_path, monkeypatch)
         run = run_online(
             fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
             checkpoint_dir=tmp_path,
         )
         assert run.journal_lines() == baseline_journal
+        assert logged_windows(tmp_path) == [str(i) for i in range(16)]
 
     def test_fresh_dir_resume_runs_from_scratch(
         self, tmp_path, baseline_journal
@@ -136,19 +174,116 @@ class TestResume:
         assert run.journal_lines() == baseline_journal
 
 
-class TestSessionIdentity:
-    def test_foreign_session_checkpoint_refused(self, tmp_path):
-        """A checkpoint written under one budget must not restore a
-        session with another — refuse, like the sweep journal does."""
+def stepping_clock(slow_call: int):
+    """A clock that advances 1 s per call and jumps 100 s at call
+    number ``slow_call``. On a fault-free session every window reads
+    the clock twice (start, finish), so ``slow_call=2k+1`` makes
+    window ``k`` alone take 101 s."""
+    calls = itertools.count()
+
+    def clock() -> float:
+        n = next(calls)
+        return n + (100.0 if n >= slow_call else 0.0)
+
+    return clock
+
+
+class TestDeadlineReplay:
+    K = 4
+    CONFIG = OnlineConfig(confirm_windows=2, decision_deadline_seconds=50.0)
+
+    def session(self, clock, directory=None, resume=False):
+        return OnlineDaemon(
+            fresh_framework(plan=None), BUDGET, self.CONFIG,
+            checkpoint_dir=directory, resume=resume, clock=clock,
+        ).run()
+
+    def test_deadline_freeze_replays_from_log(self, tmp_path, monkeypatch):
+        """Window K overran its deadline when first decided; a resume
+        under a fast clock still freezes it, because the log says so."""
+        slow = stepping_clock(2 * self.K + 1)
+        baseline = self.session(stepping_clock(2 * self.K + 1))
+        lines = baseline.journal_lines()
+        assert f"window {self.K} " in lines[1 + self.K]
+        assert lines[1 + self.K].endswith("degraded=deadline")
+        assert sum("degraded=deadline" in line for line in lines) == 1
+        fast = self.session(lambda: 0.0)
+        assert fast.journal_lines() != lines  # the freeze mattered
+
+        run_until_logged(
+            self.K + 1, tmp_path, monkeypatch,
+            session=lambda: self.session(slow, tmp_path),
+        )
+        resumed = self.session(lambda: 0.0, tmp_path, resume=True)
+        assert resumed.journal_lines() == lines
+        assert resumed.decisions[self.K].reason == "deadline"
+
+    def test_logged_windows_are_not_re_timed(self, tmp_path):
+        """A resume under a clock on which every decision overruns
+        must not freeze windows the log recorded as on time."""
+        fast = self.session(lambda: 0.0, tmp_path)
+        ticks = itertools.count(step=100)
+        slow = self.session(
+            lambda: float(next(ticks)), tmp_path, resume=True
+        )
+        assert slow.journal_lines() == fast.journal_lines()
+        assert not any(
+            "deadline" in line for line in slow.journal_lines()
+        )
+
+
+class TestVerification:
+    def test_tampered_line_names_the_window(self, tmp_path):
         config = OnlineConfig(confirm_windows=2)
         run_online(
             fresh_framework(), BUDGET, config, checkpoint_dir=tmp_path
         )
+        rewrite_window(
+            tmp_path, 7,
+            lambda p: p.update(line=p["line"].replace("window 7", "window 70")),
+        )
+        with pytest.raises(CheckpointError, match="window 7 does not replay"):
+            run_online(
+                fresh_framework(), BUDGET, config,
+                checkpoint_dir=tmp_path, resume=True,
+            )
+
+    def test_torn_tail_is_truncated(
+        self, tmp_path, monkeypatch, baseline_journal
+    ):
+        """A record cut short by the crash is dropped; the resume
+        re-executes that window and the journal is unchanged."""
+        run_until_logged(6, tmp_path, monkeypatch)
+        path = log_path(tmp_path)
+        whole = path.read_bytes()
+        torn = encode_record(RECORD_OUTCOME, {"key": "6", "line": "w"})
+        path.write_bytes(whole + torn[: len(torn) // 2].encode())
+        run = run_online(
+            fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
+            checkpoint_dir=tmp_path, resume=True,
+        )
+        assert run.journal_lines() == baseline_journal
+        replay = read_journal(path)
+        assert replay.damaged_records == 0
+        assert logged_windows(tmp_path) == [str(i) for i in range(16)]
+
+
+class TestSessionIdentity:
+    def test_foreign_session_checkpoint_refused(self, tmp_path):
+        """A log written under one budget must not resume a session
+        with another — refuse, like the sweep journal does, and leave
+        the log untouched."""
+        config = OnlineConfig(confirm_windows=2)
+        run_online(
+            fresh_framework(), BUDGET, config, checkpoint_dir=tmp_path
+        )
+        before = log_path(tmp_path).read_bytes()
         with pytest.raises(CheckpointError, match="different online session"):
             run_online(
                 fresh_framework(), 2 * BUDGET, config,
                 checkpoint_dir=tmp_path, resume=True,
             )
+        assert log_path(tmp_path).read_bytes() == before
 
     def test_different_fault_plan_changes_nothing_but_key_inputs(self):
         """session_key pins every identity input separately."""
@@ -169,48 +304,57 @@ class TestSessionIdentity:
 
 
 class TestDurability:
-    def test_missing_checkpoint_is_none(self, tmp_path):
-        assert load_checkpoint(tmp_path) is None
-
-    def test_corrupt_checkpoint_detected(self, tmp_path):
-        save_checkpoint(tmp_path, {"schema": 1, "x": 1})
-        path = checkpoint_path(tmp_path)
+    def test_corrupt_checkpoint_detected(
+        self, tmp_path, baseline_journal
+    ):
+        """A record whose checksum no longer matches ends the trusted
+        prefix: it and everything after it are re-executed."""
+        config = OnlineConfig(confirm_windows=2)
+        run_online(
+            fresh_framework(), BUDGET, config, checkpoint_dir=tmp_path
+        )
+        path = log_path(tmp_path)
         raw = path.read_text()
-        path.write_text(raw.replace('"x"', '"y"'))  # CRC now stale
-        with pytest.raises(CheckpointError, match="damaged"):
-            load_checkpoint(tmp_path)
+        path.write_text(raw.replace("window 4 ", "window 5 ", 1))  # CRC stale
+        assert read_journal(path).damaged_records == 12
+        run = run_online(
+            fresh_framework(), BUDGET, config,
+            checkpoint_dir=tmp_path, resume=True,
+        )
+        assert run.journal_lines() == baseline_journal
+        assert read_journal(path).damaged_records == 0
+        assert logged_windows(tmp_path) == [str(i) for i in range(16)]
 
     def test_wrong_record_type_refused(self, tmp_path):
-        from repro.parallel.journal import encode_record
-
-        checkpoint_path(tmp_path).write_text(
-            encode_record("sweep-cell", {"schema": 1}) + "\n"
-        )
-        with pytest.raises(CheckpointError, match="not an online checkpoint"):
-            load_checkpoint(tmp_path)
-
-    def test_unsupported_schema_refused(self, tmp_path):
-        save_checkpoint(tmp_path, {"schema": 999})
-        with pytest.raises(CheckpointError, match="schema"):
-            load_checkpoint(tmp_path)
+        """A sweep journal squatting on the log's file name is not
+        this session's decision log."""
+        SweepJournal.create(
+            tmp_path, {"sweep_key": "abc"}, DECISION_LOG_FILENAME
+        ).close()
+        with pytest.raises(CheckpointError, match="different online session"):
+            run_online(
+                fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
+                checkpoint_dir=tmp_path, resume=True,
+            )
 
     def test_checkpoint_dir_must_be_a_directory(self, tmp_path):
         clash = tmp_path / "file"
         clash.write_text("not a dir")
         with pytest.raises(CheckpointError, match="not a directory"):
-            save_checkpoint(clash, {"schema": 1})
+            run_online(
+                fresh_framework(), BUDGET, OnlineConfig(confirm_windows=2),
+                checkpoint_dir=clash,
+            )
 
     def test_malformed_payload_refused_on_restore(self, tmp_path):
-        """A structurally valid checkpoint whose payload lies about
-        its session is refused before any state is touched."""
+        """A checksummed record missing its deadline flag is refused
+        before any window runs."""
         config = OnlineConfig(confirm_windows=2)
         run_online(
             fresh_framework(), BUDGET, config, checkpoint_dir=tmp_path
         )
-        payload = load_checkpoint(tmp_path)
-        payload["session"] = "0" * 32
-        save_checkpoint(tmp_path, payload)
-        with pytest.raises(CheckpointError, match="different online session"):
+        rewrite_window(tmp_path, 2, lambda p: p.pop("deadline"))
+        with pytest.raises(CheckpointError, match="malformed record for window 2"):
             run_online(
                 fresh_framework(), BUDGET, config,
                 checkpoint_dir=tmp_path, resume=True,

@@ -282,6 +282,19 @@ class TestOnlineFlow:
         assert online_main([*args, "--resume"]) == 0
         assert journal.read_bytes() == first
 
+    def test_resume_without_checkpoint_dir_fails_fast(
+        self, tmp_path, capsys
+    ):
+        from repro.cli.main import online_main
+
+        journal = tmp_path / "never.journal"
+        assert online_main(
+            ["phaseshift", "--budget", "32M", "--journal", str(journal),
+             "--resume"]
+        ) == 1
+        assert "--resume needs --checkpoint-dir" in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_online_rejects_window_conflict(self, capsys):
         from repro.cli.main import online_main
 
