@@ -732,14 +732,13 @@ def cluster_main(argv: list[str] | None = None) -> int:
                         help="backpressure: retry failed admissions at "
                         "F*demand before queueing")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="write a CRC-checksummed checkpoint here "
-                        "after every event batch (SIGKILL-safe)")
+                        help="append every journal line to a "
+                        "CRC-framed resume log (cluster.log) here, "
+                        "one fsync per event (SIGKILL-safe)")
     parser.add_argument("--resume", action="store_true",
-                        help="resume from --checkpoint-dir instead of "
-                        "starting over (same session only)")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        metavar="N",
-                        help="events per checkpoint batch (default 1)")
+                        help="re-run from t=0, verify each line the log "
+                        "in --checkpoint-dir holds, then append the "
+                        "rest (same session only)")
     parser.add_argument("--event-pause", type=float, default=0.0,
                         metavar="SECONDS",
                         help="wall-clock sleep after each event (chaos "
@@ -797,7 +796,6 @@ def cluster_main(argv: list[str] | None = None) -> int:
                 else None
             ),
             resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
             event_pause_seconds=args.event_pause,
         )
         report = sim.run()

@@ -6,7 +6,7 @@ arriving and departing over time, per-node MCDRAM budgets carved into
 contiguous grants, co-residents splitting delivered bandwidth, and
 freed capacity re-advised to survivors. See architecture §15. The
 fault domain — node crash/drain/recover, tenant kills, crash rescue,
-overload backpressure, and the SIGKILL-safe checkpoint — is
+overload backpressure, and the SIGKILL-safe resume log — is
 architecture §16.
 """
 

@@ -30,25 +30,12 @@ NODE_DRAIN = "node_drain"
 NODE_RECOVER = "node_recover"
 TENANT_KILL = "tenant_kill"
 
-#: Every kind the cluster simulator dispatches (checkpoint payloads
-#: refuse anything else).
-EVENT_KINDS: tuple[str, ...] = (
-    ARRIVAL,
-    COMPLETE,
-    NODE_CRASH,
-    NODE_DRAIN,
-    NODE_RECOVER,
-    TENANT_KILL,
-)
-
 
 class SimClock:
     """Monotone simulated clock (seconds since run start)."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ConfigError(f"clock cannot start negative: {start}")
-        self._now = start
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -98,26 +85,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    # -- checkpoint/restore ---------------------------------------------
-
-    def snapshot(self) -> list[Event]:
-        """Pending events in pop order (what a checkpoint persists)."""
-        return [event for _, _, event in sorted(self._heap)]
-
-    @classmethod
-    def restore(cls, events: list[Event], next_seq: int) -> "EventQueue":
-        """Rebuild a queue from checkpointed events, preserving the
-        original ``(time, seq)`` ordering and the sequence counter so
-        later pushes sort exactly as they would have in the
-        uninterrupted run."""
-        queue = cls()
-        for event in events:
-            if event.seq >= next_seq:
-                raise ConfigError(
-                    f"event seq {event.seq} not below the restored "
-                    f"counter {next_seq}"
-                )
-            heapq.heappush(queue._heap, (event.time, event.seq, event))
-        queue._seq = next_seq
-        return queue

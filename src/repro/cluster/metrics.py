@@ -20,7 +20,7 @@ Definitions (architecture §15):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -295,10 +295,8 @@ class FragmentationTracker:
     samples: int = 0
     accumulated: float = 0.0
     last: float = 0.0
-    _per_node: dict = field(default_factory=dict)
 
     def observe(self, per_node: dict[str, float]) -> None:
-        self._per_node = dict(per_node)
         mean = (
             sum(per_node.values()) / len(per_node) if per_node else 0.0
         )
@@ -311,23 +309,3 @@ class FragmentationTracker:
         if self.samples == 0:
             return 0.0
         return self.accumulated / self.samples
-
-    # -- checkpoint/restore ---------------------------------------------
-
-    def to_state(self) -> dict:
-        return {
-            "samples": self.samples,
-            "accumulated": self.accumulated,
-            "last": self.last,
-            "per_node": dict(self._per_node),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FragmentationTracker":
-        tracker = cls(
-            samples=int(state["samples"]),
-            accumulated=float(state["accumulated"]),
-            last=float(state["last"]),
-        )
-        tracker._per_node = dict(state.get("per_node", {}))
-        return tracker

@@ -48,10 +48,8 @@ class ExtentAllocator:
 
     ``total_free``, ``largest_free`` and ``fragmentation`` are plain
     attributes derived from the hole list by :meth:`_set_free`, which
-    every mutation (alloc, free, reset, restore) goes through: the
-    scheduler reads them on every admission attempt, so reading is
-    O(1). They are not state of their own — a checkpoint stores only
-    :meth:`holes`.
+    every mutation (alloc, free, reset) goes through: the scheduler
+    reads them on every admission attempt, so reading is O(1).
     """
 
     def __init__(self, total: int) -> None:
@@ -121,37 +119,6 @@ class ExtentAllocator:
         extents one by one, because the extents died with the node.
         """
         self._set_free([(0, self.total)])
-
-    @classmethod
-    def restore(
-        cls, total: int, holes: tuple[tuple[int, int], ...] | list
-    ) -> "ExtentAllocator":
-        """Rebuild an allocator from a checkpointed :meth:`holes`
-        snapshot, validating the invariants a live allocator maintains
-        (sorted, disjoint, in-range, fully coalesced)."""
-        allocator = cls(total)
-        free: list[tuple[int, int]] = []
-        last_end = -1
-        for entry in holes:
-            offset, size = int(entry[0]), int(entry[1])
-            if offset < 0 or size <= 0 or offset + size > total:
-                raise ConfigError(
-                    f"checkpointed hole ({offset},{size}) outside "
-                    f"[0,{total})"
-                )
-            if offset < last_end:
-                raise ConfigError(
-                    f"checkpointed holes unsorted or overlapping at "
-                    f"({offset},{size})"
-                )
-            if offset == last_end:
-                raise ConfigError(
-                    f"checkpointed holes not coalesced at ({offset},{size})"
-                )
-            free.append((offset, size))
-            last_end = offset + size
-        allocator._set_free(free)
-        return allocator
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,14 +37,23 @@ FaultInjector` are first-class heap entries; a crash evacuates
 surviving tenants through the scheduler under a per-node rescue
 budget (unrescued tenants become recorded casualties, never silent
 losses); a :class:`~repro.cluster.backpressure.BackpressurePolicy`
-sheds or down-grants queued admissions under overload; and a
-per-event-batch CRC-checksummed checkpoint makes the whole run
-SIGKILL-safe — ``--resume`` replays to a byte-identical journal.
+sheds or down-grants queued admissions under overload.
+
+The run is a pure function of its identity, so crash safety needs no
+state snapshot. With a checkpoint directory every journal line is
+appended to a CRC-framed resume log (``cluster.log``, a
+:class:`~repro.parallel.journal.DecisionLog`) with one fsync per
+event that wrote lines. ``--resume`` re-runs from t=0, checks every
+regenerated line against the logged one, refuses a mismatch, a
+foreign session or a log longer than the run, and appends after the
+logged prefix, so the journal after a SIGKILL is byte-identical to an
+uninterrupted run's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -56,14 +65,6 @@ from repro.cluster.backpressure import (
     REASON_SHED_DEPTH,
     REASON_SHED_STRANDED,
     BackpressurePolicy,
-)
-from repro.cluster.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    cluster_session_key,
-    hysteresis_state,
-    load_cluster_checkpoint,
-    restore_hysteresis,
-    save_cluster_checkpoint,
 )
 from repro.cluster.events import (
     ARRIVAL,
@@ -86,7 +87,7 @@ from repro.cluster.metrics import (
 )
 from repro.cluster.node import Extent, ExtentAllocator, NodeSpec
 from repro.cluster.scheduler import SchedulerPolicy, get_scheduler
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.machine.performance import (
@@ -95,8 +96,12 @@ from repro.machine.performance import (
     PlacedTraffic,
 )
 from repro.online.migration import HysteresisFilter, diff_placements
+from repro.parallel.journal import DecisionLog
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.placement.policies import traffic_for_sites
+
+#: File name of the resume log inside the checkpoint directory.
+CLUSTER_LOG_FILENAME = "cluster.log"
 
 #: Node lifecycle states.
 NODE_UP = "up"
@@ -195,7 +200,6 @@ class ClusterSim:
         rescue_budget: int | None = None,
         checkpoint_dir: str | None = None,
         resume: bool = False,
-        checkpoint_every: int = 1,
         event_pause_seconds: float = 0.0,
     ) -> None:
         if not nodes:
@@ -218,11 +222,6 @@ class ClusterSim:
         if rescue_budget is not None and rescue_budget <= 0:
             raise ConfigError(
                 f"rescue budget must be positive bytes, got {rescue_budget}"
-            )
-        if checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint cadence must be >= 1 events, got "
-                f"{checkpoint_every}"
             )
         if event_pause_seconds < 0:
             raise ConfigError(
@@ -258,7 +257,6 @@ class ClusterSim:
         self.rescue_budget = rescue_budget
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self.checkpoint_every = checkpoint_every
         self.event_pause_seconds = event_pause_seconds
         self.clock = clock or SimClock()
         self.nodes = [
@@ -275,9 +273,6 @@ class ClusterSim:
         self.migrated_bytes = 0
         self.evicted_bytes = 0
         self.fragmentation = FragmentationTracker()
-        self._events_processed = 0
-        self._finalized = False
-        self._session: str | None = None
         #: One framework per (app, machine) — profile/analyze once.
         self._frameworks: dict[tuple[str, str], HybridMemoryFramework] = {}
         #: Advisor decisions are pure in (app, machine, grant,
@@ -838,12 +833,11 @@ class ClusterSim:
             self._readvise_survivors(node)
         self._retime_node(node)
 
-    # -- checkpointing ----------------------------------------------------
+    # -- session identity -------------------------------------------------
 
     def _identity(self) -> dict:
-        """Everything that shapes the event timeline (wall-clock-only
-        knobs — checkpoint cadence, chaos pauses — excluded so a
-        stretched chaos run resumes cleanly)."""
+        """Everything that shapes the event timeline (the wall-clock
+        chaos pause is excluded so a stretched run resumes cleanly)."""
         bp = self.backpressure
         return {
             "nodes": [
@@ -879,219 +873,22 @@ class ClusterSim:
             "rescue_budget": self.rescue_budget,
         }
 
-    @staticmethod
-    def _fingerprint(trace: tuple[JobRequest, ...]) -> str:
-        canonical = repr(
-            [
-                (r.job_id, r.app, r.arrival_time, r.hbw_demand)
-                for r in trace
-            ]
+    def _session_key(self, trace: tuple[JobRequest, ...]) -> str:
+        """Content hash pinning this run: its identity plus the
+        generated arrival trace. A resume under any other key is
+        refused."""
+        canonical = json.dumps(
+            {
+                "identity": self._identity(),
+                "trace": [
+                    (r.job_id, r.app, r.arrival_time, r.hbw_demand)
+                    for r in trace
+                ],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-    def _encode_event(self, event: Event) -> dict:
-        if event.kind == ARRIVAL:
-            payload = event.payload.job_id
-        elif event.kind == COMPLETE:
-            payload = list(event.payload)
-        else:
-            payload = event.payload
-        return {
-            "time": event.time,
-            "seq": event.seq,
-            "kind": event.kind,
-            "payload": payload,
-        }
-
-    def _decode_event(
-        self, data: dict, trace: tuple[JobRequest, ...]
-    ) -> Event:
-        kind = data["kind"]
-        if kind == ARRIVAL:
-            payload = trace[int(data["payload"])]
-        elif kind == COMPLETE:
-            payload = (int(data["payload"][0]), int(data["payload"][1]))
-        elif kind in (NODE_CRASH, NODE_DRAIN, NODE_RECOVER):
-            payload = str(data["payload"])
-        elif kind == TENANT_KILL:
-            payload = int(data["payload"])
-        else:
-            raise CheckpointError(
-                f"checkpoint holds unknown event kind {kind!r}"
-            )
-        return Event(
-            time=float(data["time"]),
-            seq=int(data["seq"]),
-            kind=kind,
-            payload=payload,
-        )
-
-    def _checkpoint_payload(self) -> dict:
-        return {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "session": self._session,
-            "clock": self.clock.now,
-            "events": [
-                self._encode_event(e) for e in self.events.snapshot()
-            ],
-            "next_seq": self.events._seq,
-            "events_processed": self._events_processed,
-            "finalized": self._finalized,
-            "nodes": [
-                {
-                    "name": node.name,
-                    "status": node.status,
-                    "holes": [list(h) for h in node.allocator.holes()],
-                    "tenants": [
-                        {
-                            "job_id": t.job_id,
-                            "grant": t.grant,
-                            "extent": [t.extent.offset, t.extent.size],
-                            "sites": sorted(t.sites),
-                            "fom_isolated": t.fom_isolated,
-                            "hysteresis": hysteresis_state(t.hysteresis),
-                            "admission_time": t.admission_time,
-                            "progress": t.progress,
-                            "rate": t.rate,
-                            "last_update": t.last_update,
-                            "stall_until": t.stall_until,
-                            "generation": t.generation,
-                        }
-                        for t in node.residents()
-                    ],
-                }
-                for node in self.nodes
-            ],
-            "queue": [r.job_id for r in self.queue],
-            "journal": list(self.journal),
-            "outcomes": [
-                {
-                    "job_id": t.job_id,
-                    "app": t.app,
-                    "node": t.node,
-                    "hbw_demand": t.hbw_demand,
-                    "hbw_granted": t.hbw_granted,
-                    "arrival_time": t.arrival_time,
-                    "admission_time": t.admission_time,
-                    "completion_time": t.completion_time,
-                    "fom_isolated": t.fom_isolated,
-                    "fom_achieved": t.fom_achieved,
-                }
-                for t in self.outcomes
-            ],
-            "rejections": [
-                {
-                    "job_id": r.job_id,
-                    "app": r.app,
-                    "time": r.time,
-                    "reason": r.reason,
-                }
-                for r in self.rejections
-            ],
-            "casualties": [
-                {
-                    "job_id": c.job_id,
-                    "app": c.app,
-                    "node": c.node,
-                    "time": c.time,
-                    "reason": c.reason,
-                    "progress_fraction": c.progress_fraction,
-                }
-                for c in self.casualties
-            ],
-            "rescues": [
-                {
-                    "job_id": r.job_id,
-                    "app": r.app,
-                    "from_node": r.from_node,
-                    "to_node": r.to_node,
-                    "time": r.time,
-                    "moved_bytes": r.moved_bytes,
-                }
-                for r in self.rescues
-            ],
-            "migrated_bytes": self.migrated_bytes,
-            "evicted_bytes": self.evicted_bytes,
-            "fragmentation": self.fragmentation.to_state(),
-        }
-
-    def _write_checkpoint(self) -> None:
-        save_cluster_checkpoint(self.checkpoint_dir, self._checkpoint_payload())
-
-    def _restore(self, payload: dict, trace: tuple[JobRequest, ...]) -> None:
-        if payload.get("session") != self._session:
-            raise CheckpointError(
-                "checkpoint belongs to a different cluster session "
-                f"({payload.get('session')!r} != {self._session!r}); "
-                "refusing to mix state"
-            )
-        try:
-            self.clock = SimClock(start=float(payload["clock"]))
-            self.events = EventQueue.restore(
-                [self._decode_event(e, trace) for e in payload["events"]],
-                int(payload["next_seq"]),
-            )
-            self._events_processed = int(payload["events_processed"])
-            self._finalized = bool(payload.get("finalized", False))
-            by_name = {n.name: n for n in self.nodes}
-            if set(by_name) != {n["name"] for n in payload["nodes"]}:
-                raise CheckpointError(
-                    "checkpointed fleet does not match the configured nodes"
-                )
-            for node_state in payload["nodes"]:
-                node = by_name[node_state["name"]]
-                node.status = str(node_state["status"])
-                node.allocator = ExtentAllocator.restore(
-                    node.spec.hbw_budget, node_state["holes"]
-                )
-                node.tenants = {}
-                for ts in node_state["tenants"]:
-                    request = trace[int(ts["job_id"])]
-                    sites = frozenset(str(s) for s in ts["sites"])
-                    fw = self._framework(request.app, node)
-                    tenant = Tenant(
-                        request=request,
-                        node=node,
-                        extent=Extent(
-                            offset=int(ts["extent"][0]),
-                            size=int(ts["extent"][1]),
-                        ),
-                        grant=int(ts["grant"]),
-                        sites=sites,
-                        traffic=traffic_for_sites(
-                            fw.app, node.spec.machine, fw.profile(), sites
-                        ),
-                        fom_isolated=float(ts["fom_isolated"]),
-                        hysteresis=restore_hysteresis(ts["hysteresis"]),
-                        admission_time=float(ts["admission_time"]),
-                        progress=float(ts["progress"]),
-                        rate=float(ts["rate"]),
-                        last_update=float(ts["last_update"]),
-                        stall_until=float(ts["stall_until"]),
-                        generation=int(ts["generation"]),
-                    )
-                    node.tenants[tenant.job_id] = tenant
-            self.queue = [trace[int(j)] for j in payload["queue"]]
-            self.journal = [str(line) for line in payload["journal"]]
-            self.outcomes = [
-                TenantOutcome(**o) for o in payload["outcomes"]
-            ]
-            self.rejections = [
-                Rejection(**r) for r in payload["rejections"]
-            ]
-            self.casualties = [
-                TenantCasualty(**c) for c in payload["casualties"]
-            ]
-            self.rescues = [RescueRecord(**r) for r in payload["rescues"]]
-            self.migrated_bytes = int(payload["migrated_bytes"])
-            self.evicted_bytes = int(payload["evicted_bytes"])
-            self.fragmentation = FragmentationTracker.from_state(
-                payload["fragmentation"]
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed cluster checkpoint: {exc}"
-            ) from exc
 
     # -- run -------------------------------------------------------------
 
@@ -1134,57 +931,78 @@ class ClusterSim:
             raise ConfigError(f"unknown event kind {event.kind!r}")
 
     def run(self) -> ClusterReport:
-        """Process the whole trace; returns the populated report."""
+        """Process the whole trace; returns the populated report.
+
+        With a checkpoint directory every journal line is settled into
+        ``cluster.log`` as it is written: one fsync per event that
+        wrote lines. A resume re-runs from t=0 and verifies each line
+        the log holds before appending the rest.
+        """
         trace = self.arrivals.generate()
-        self._session = cluster_session_key(
-            {**self._identity(), "trace": self._fingerprint(trace)}
-        )
-        restored = False
-        if self.resume:
-            payload = load_cluster_checkpoint(self.checkpoint_dir)
-            if payload is None:
-                raise CheckpointError(
-                    f"{self.checkpoint_dir}: no cluster checkpoint to "
-                    "resume from"
-                )
-            self._restore(payload, trace)
-            restored = True
-        if not restored:
-            self.journal.append(
-                f"# repro-cluster nodes={len(self.nodes)} "
-                f"arrivals={len(trace)} seed={self.arrivals.seed} "
-                f"scheduler={self.scheduler_name} "
-                f"strategy={self.strategy} "
-                f"rate={self.arrivals.rate:.6f}"
+        log = (
+            DecisionLog.open(
+                self.checkpoint_dir,
+                CLUSTER_LOG_FILENAME,
+                self._session_key(trace),
+                resume=self.resume,
+                owner="cluster session",
+                noun="journal line",
             )
-            if self.arrivals.bursty:
-                self.journal.append(
-                    f"# burst factor={self.arrivals.burst_factor:.6f} "
-                    f"fraction={self.arrivals.burst_fraction:.6f}"
-                )
-            for request in trace:
-                self.events.push(request.arrival_time, ARRIVAL, request)
-            self._schedule_faults(trace)
+            if self.checkpoint_dir is not None
+            else None
+        )
+        try:
+            report = self._run(trace, log)
+            if log is not None:
+                log.finish()
+        finally:
+            if log is not None:
+                log.close()
+        return report
+
+    def _settle(self, log: DecisionLog) -> None:
+        if log.settled < len(self.journal):
+            log.settle(
+                [{"line": line} for line in self.journal[log.settled:]]
+            )
+
+    def _run(
+        self, trace: tuple[JobRequest, ...], log: DecisionLog | None
+    ) -> ClusterReport:
+        self.journal.append(
+            f"# repro-cluster nodes={len(self.nodes)} "
+            f"arrivals={len(trace)} seed={self.arrivals.seed} "
+            f"scheduler={self.scheduler_name} "
+            f"strategy={self.strategy} "
+            f"rate={self.arrivals.rate:.6f}"
+        )
+        if self.arrivals.bursty:
+            self.journal.append(
+                f"# burst factor={self.arrivals.burst_factor:.6f} "
+                f"fraction={self.arrivals.burst_fraction:.6f}"
+            )
+        for request in trace:
+            self.events.push(request.arrival_time, ARRIVAL, request)
+        self._schedule_faults(trace)
+        if log is not None:
+            self._settle(log)
         while self.events:
             event = self.events.pop()
             self.clock.advance(event.time)
             self._shed_overdue()
             self._dispatch(event)
             self._observe_fragmentation()
-            self._events_processed += 1
-            if (
-                self.checkpoint_dir is not None
-                and self._events_processed % self.checkpoint_every == 0
+            if log is not None:
+                self._settle(log)
+            if self.event_pause_seconds > 0 and not (
+                log is not None and log.replaying
             ):
-                self._write_checkpoint()
-            if self.event_pause_seconds > 0:
                 time.sleep(self.event_pause_seconds)
         # Anything still queued never found a home: classified
         # rejections, so the accounting reconciles.
-        if not self._finalized:
-            for request in self.queue:
-                self._reject(request, REASON_SHED_STRANDED)
-            self.queue = []
+        for request in self.queue:
+            self._reject(request, REASON_SHED_STRANDED)
+        self.queue = []
         report = ClusterReport(
             n_nodes=len(self.nodes),
             n_arrivals=len(trace),
@@ -1207,31 +1025,29 @@ class ClusterSim:
             evicted_bytes=self.evicted_bytes,
             makespan=self.clock.now,
         )
-        if not self._finalized:
-            self.journal.append(
-                f"fragmentation mean={report.mean_fragmentation:.6f} "
-                f"final={report.final_fragmentation:.6f}"
-            )
-            self.journal.append(
-                f"fairness={report.fairness:.6f} "
-                f"aggregate_fom={report.aggregate_fom:.6f} "
-                f"isolated={report.aggregate_fom_isolated:.6f} "
-                f"rejected={report.n_rejected} "
-                f"migrated_bytes={report.migrated_bytes} "
-                f"evicted_bytes={report.evicted_bytes}"
-            )
-            self.journal.append(
-                f"accounting arrivals={report.n_arrivals} "
-                f"completed={len(report.tenants)} "
-                f"rejected={report.n_rejected} "
-                f"never_fits={report.n_never_fits} shed={report.n_shed} "
-                f"casualties={report.n_casualties} "
-                f"rescued={report.n_rescued} "
-                f"reconciled={str(report.accounted).lower()}"
-            )
-            self._finalized = True
-            if self.checkpoint_dir is not None:
-                self._write_checkpoint()
+        self.journal.append(
+            f"fragmentation mean={report.mean_fragmentation:.6f} "
+            f"final={report.final_fragmentation:.6f}"
+        )
+        self.journal.append(
+            f"fairness={report.fairness:.6f} "
+            f"aggregate_fom={report.aggregate_fom:.6f} "
+            f"isolated={report.aggregate_fom_isolated:.6f} "
+            f"rejected={report.n_rejected} "
+            f"migrated_bytes={report.migrated_bytes} "
+            f"evicted_bytes={report.evicted_bytes}"
+        )
+        self.journal.append(
+            f"accounting arrivals={report.n_arrivals} "
+            f"completed={len(report.tenants)} "
+            f"rejected={report.n_rejected} "
+            f"never_fits={report.n_never_fits} shed={report.n_shed} "
+            f"casualties={report.n_casualties} "
+            f"rescued={report.n_rescued} "
+            f"reconciled={str(report.accounted).lower()}"
+        )
+        if log is not None:
+            self._settle(log)
         return report
 
     def journal_text(self) -> str:

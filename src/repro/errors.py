@@ -241,9 +241,9 @@ class TransientMigrationError(MigrationError):
 
 
 class CheckpointError(ReproError):
-    """A cluster checkpoint or an online decision log is unreadable,
-    fails its checksum, belongs to a different session than the one
-    being resumed, or (a decision log) does not replay."""
+    """A resume log (online or cluster) is unreadable or malformed,
+    belongs to a different session than the one being resumed, or
+    does not replay."""
 
     category = CATEGORY_POISONED
 

@@ -46,8 +46,9 @@ scale):
   migrations freeze while advice continues.
 * **Crashes.** With a checkpoint directory the daemon appends one
   fsynced, CRC-framed record per settled window to a decision log
-  (the sweep journal's writer, :mod:`repro.parallel.journal`): the
-  window's journal line and whether the deadline watchdog froze it.
+  (:class:`repro.parallel.journal.DecisionLog`, shared with the
+  cluster simulator): the window's journal line and whether the
+  deadline watchdog froze it.
   ``resume=True`` re-executes the session from window 0, checks every
   logged window's regenerated line against the log
   (:class:`~repro.errors.CheckpointError` names the first that
@@ -82,9 +83,7 @@ from repro.analysis.profile import ProfileSet
 from repro.analysis.vectorattr import IncrementalAttributor
 from repro.errors import (
     CATEGORY_TRANSIENT,
-    CheckpointError,
     ConfigError,
-    JournalError,
     ReproError,
     classify_error,
 )
@@ -104,7 +103,7 @@ from repro.online.migration import (
     MigrationFailure,
     diff_placements,
 )
-from repro.parallel.journal import SweepJournal, read_journal
+from repro.parallel.journal import DecisionLog
 from repro.retry import CircuitBreaker, backoff_delay
 
 #: Default window count (referenced by the mutual-exclusion check:
@@ -411,7 +410,7 @@ class OnlineDaemon:
             )
         self.resume = resume
         self._clock = clock
-        self._log: SweepJournal | None = None
+        self._log: DecisionLog | None = None
         plan = framework.fault_plan
         self._injector = (
             FaultInjector(plan)
@@ -435,52 +434,6 @@ class OnlineDaemon:
             boundaries.append((t, min(t + span, horizon)))
             t += span
         return boundaries
-
-    # -- the decision log --------------------------------------------------
-
-    def _open_log(self) -> list[dict]:
-        """Open the decision log for appending; return the windows it
-        already holds, in order (none unless resuming).
-
-        A fresh session truncates any prior log. A resume refuses a
-        foreign session's log before touching it, then truncates a
-        torn tail and appends after the last whole record.
-        """
-        directory = self.checkpoint_dir
-        path = directory / DECISION_LOG_FILENAME
-        manifest = {"session_key": self._session}
-        try:
-            if not self.resume:
-                self._log = SweepJournal.create(
-                    directory, manifest, DECISION_LOG_FILENAME
-                )
-                return []
-            if path.exists():
-                theirs = (read_journal(path).manifest or {}).get(
-                    "session_key"
-                )
-                if theirs != self._session:
-                    raise CheckpointError(
-                        f"{path}: decision log belongs to a different "
-                        f"online session (log {theirs!r}, this session "
-                        f"{self._session!r}); use a fresh --checkpoint-dir"
-                    )
-            self._log, replay = SweepJournal.resume(
-                directory, manifest, DECISION_LOG_FILENAME
-            )
-        except JournalError as exc:
-            raise CheckpointError(str(exc)) from exc
-        logged: list[dict] = []
-        while (record := replay.settled.get(str(len(logged)))) is not None:
-            if not (
-                isinstance(record.get("line"), str)
-                and isinstance(record.get("deadline"), bool)
-            ):
-                raise CheckpointError(
-                    f"{path}: malformed record for window {len(logged)}"
-                )
-            logged.append(record)
-        return logged
 
     # -- migration execution --------------------------------------------
 
@@ -617,7 +570,7 @@ class OnlineDaemon:
             if key not in ("window_pause_seconds",
                            "migration_backoff_seconds")
         }
-        self._session = session_key(
+        session = session_key(
             app.name,
             self.budget_real,
             framework.seed,
@@ -629,9 +582,17 @@ class OnlineDaemon:
         run = self.run_record
         last = len(boundaries) - 1
         try:
-            logged = (
-                self._open_log() if self.checkpoint_dir is not None else []
-            )
+            if self.checkpoint_dir is not None:
+                self._log = DecisionLog.open(
+                    self.checkpoint_dir,
+                    DECISION_LOG_FILENAME,
+                    session,
+                    resume=self.resume,
+                    owner="online session",
+                    noun="window",
+                    fields=(("line", str), ("deadline", bool)),
+                )
+            logged = self._log.logged if self._log is not None else []
             for index, (t0, t1) in enumerate(boundaries):
                 replaying = index < len(logged)
                 run.schedule.append((t0, t1, self.active))
@@ -719,32 +680,17 @@ class OnlineDaemon:
                         self.active = new_active
                 run.decisions.append(decision)
                 if self._log is not None:
-                    self._settle(decision, logged)
+                    # Fsynced before the next window starts.
+                    self._log.settle([{
+                        "line": decision.journal_line(),
+                        "deadline": decision.reason == REASON_DEADLINE,
+                    }])
+            if self._log is not None:
+                self._log.finish()
         finally:
             if self._log is not None:
                 self._log.close()
         return run
-
-    def _settle(self, decision: WindowDecision, logged: list[dict]) -> None:
-        """Check a replayed window against its logged line, or log a
-        new one (fsynced before the next window starts)."""
-        line = decision.journal_line()
-        index = decision.index
-        if index < len(logged):
-            if line != logged[index]["line"]:
-                raise CheckpointError(
-                    f"{self._log.path}: window {index} does not replay "
-                    f"(logged {logged[index]['line']!r}, re-executed "
-                    f"{line!r})"
-                )
-        else:
-            self._log.record_outcome(
-                {
-                    "key": str(index),
-                    "line": line,
-                    "deadline": decision.reason == REASON_DEADLINE,
-                }
-            )
 
     def _freeze(
         self, index: int, t0: float, t1: float, reason: str

@@ -28,6 +28,11 @@ only ever answer the exact (app model, machine, cell, seed, fault
 plan, code version) it was written for; the manifest record pins the
 whole sweep's identity and a resume against a different sweep raises
 :class:`~repro.errors.JournalError` instead of mixing results.
+
+The same file format carries :class:`DecisionLog`, the resume log of
+the two deterministic runs (the online daemon and the cluster
+simulator): one record per output line, verified when a resumed run
+re-executes from the start.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import JournalError
+from repro.errors import CheckpointError, JournalError
 from repro.ioutil import fsync_dir
 
 #: Bump when the record layout changes incompatibly.
@@ -215,14 +220,17 @@ class SweepJournal:
         directory: str | Path,
         manifest: dict,
         filename: str = JOURNAL_FILENAME,
+        owner: str = "sweep",
     ) -> tuple["SweepJournal", JournalReplay]:
         """Reopen an existing journal and return its replay state.
 
         A missing journal degrades to a cold start (empty replay); a
-        journal written by a *different* sweep raises
-        :class:`~repro.errors.JournalError`. A damaged tail is
-        truncated back to the last intact record so appends land on a
-        clean boundary.
+        journal whose manifest differs from ``manifest`` in any field
+        was written by a *different* run (``owner`` names the kind of
+        run in the error) and raises
+        :class:`~repro.errors.JournalError` before the file is
+        touched. A damaged tail is truncated back to the last intact
+        record so appends land on a clean boundary.
         """
         directory = Path(directory)
         path = directory / filename
@@ -234,13 +242,12 @@ class SweepJournal:
                 f"{path}: no intact manifest record; not a sweep journal "
                 "(or its head was destroyed)"
             )
-        theirs = replay.manifest.get("sweep_key")
-        ours = manifest.get("sweep_key")
-        if theirs != ours:
+        if _canonical(replay.manifest) != _canonical(manifest):
             raise JournalError(
-                f"{path}: journal belongs to a different sweep "
-                f"(journal sweep_key {theirs!r}, this sweep {ours!r}); "
-                "refusing to mix results — use a fresh --journal-dir"
+                f"{path}: journal belongs to a different {owner} "
+                f"(journal manifest {replay.manifest!r}, this {owner} "
+                f"{manifest!r}); refusing to mix results — use a fresh "
+                "directory"
             )
         if replay.good_bytes < path.stat().st_size:
             with open(path, "rb+") as repair:
@@ -261,12 +268,21 @@ class SweepJournal:
 
     # -- appending ------------------------------------------------------
 
-    def append(self, record_type: str, payload: dict) -> None:
-        """Append one record, flushed and fsynced before returning."""
+    def buffer(self, record_type: str, payload: dict) -> None:
+        """Write one record without a barrier: the next fsynced append
+        commits it too (group commit), and a crash before then can
+        only tear the file's tail."""
         self._fh.write(encode_record(record_type, payload) + "\n")
+        self.records_written += 1
+
+    def _sync(self) -> None:
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self.records_written += 1
+
+    def append(self, record_type: str, payload: dict) -> None:
+        """Append one record, flushed and fsynced before returning."""
+        self.buffer(record_type, payload)
+        self._sync()
 
     def append_intents(self, payloads: list[dict]) -> None:
         """Append a batch of intents with one fsync for the lot —
@@ -275,10 +291,8 @@ class SweepJournal:
         if not payloads:
             return
         for payload in payloads:
-            self._fh.write(encode_record(RECORD_INTENT, payload) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.records_written += len(payloads)
+            self.buffer(RECORD_INTENT, payload)
+        self._sync()
 
     def record_outcome(self, payload: dict) -> None:
         self.append(RECORD_OUTCOME, payload)
@@ -288,8 +302,7 @@ class SweepJournal:
 
     def close(self) -> None:
         if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self._sync()
             self._fh.close()
 
     def __enter__(self) -> "SweepJournal":
@@ -297,3 +310,113 @@ class SweepJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class DecisionLog:
+    """Resume by deterministic replay: a run's output lines, durable as
+    they are written and verified when the run is re-executed.
+
+    The online daemon (``online.log``) and the cluster simulator
+    (``cluster.log``) are pure functions of their session identity, so
+    neither snapshots its state. The log is a :class:`SweepJournal`
+    file: a manifest holding the session key, then one outcome record
+    per output line, keyed by its index. A resumed run re-executes
+    from the start and hands every line to :meth:`settle`: a line the
+    log already holds must equal the logged one
+    (:class:`~repro.errors.CheckpointError` names the first that
+    differs), and the lines past the logged prefix are appended.
+    """
+
+    def __init__(
+        self, journal: SweepJournal, logged: list[dict], noun: str
+    ) -> None:
+        self._journal = journal
+        #: The records the log held when it was opened, in order.
+        self.logged = logged
+        #: Records settled so far by this run.
+        self.settled = 0
+        self._noun = noun
+
+    @classmethod
+    def open(
+        cls,
+        directory: str | Path,
+        filename: str,
+        session: str,
+        *,
+        resume: bool,
+        owner: str,
+        noun: str,
+        fields: tuple[tuple[str, type], ...] = (("line", str),),
+    ) -> "DecisionLog":
+        """Start a fresh log, or with ``resume`` reopen one and read the
+        records it holds.
+
+        A missing log resumes as a fresh run; a log headed by another
+        session (``owner`` names the kind) is refused untouched; a torn
+        tail is truncated. Every logged record must carry ``fields``
+        with the given types. ``noun`` names one record in errors.
+        """
+        manifest = {"session_key": session}
+        try:
+            if resume:
+                journal, replay = SweepJournal.resume(
+                    directory, manifest, filename, owner
+                )
+            else:
+                journal = SweepJournal.create(directory, manifest, filename)
+                replay = JournalReplay()
+        except JournalError as exc:
+            raise CheckpointError(str(exc)) from exc
+        logged: list[dict] = []
+        while (record := replay.settled.get(str(len(logged)))) is not None:
+            if not all(isinstance(record.get(f), t) for f, t in fields):
+                journal.close()
+                raise CheckpointError(
+                    f"{journal.path}: malformed record for {noun} "
+                    f"{len(logged)}"
+                )
+            logged.append(record)
+        return cls(journal, logged, noun)
+
+    @property
+    def replaying(self) -> bool:
+        """True until the run has settled every logged record."""
+        return self.settled < len(self.logged)
+
+    def settle(self, records: list[dict]) -> None:
+        """Settle the run's next records in order: check each one the
+        log holds against its ``line``, and append the rest with one
+        fsync for the lot (group commit)."""
+        fresh: list[dict] = []
+        for record in records:
+            index = self.settled
+            if index < len(self.logged):
+                logged = self.logged[index]["line"]
+                if record["line"] != logged:
+                    raise CheckpointError(
+                        f"{self._journal.path}: {self._noun} {index} "
+                        f"does not replay (logged {logged!r}, "
+                        f"re-executed {record['line']!r})"
+                    )
+            else:
+                fresh.append({**record, "key": str(index)})
+            self.settled += 1
+        if fresh:
+            for payload in fresh[:-1]:
+                self._journal.buffer(RECORD_OUTCOME, payload)
+            # The last record's fsync commits the whole batch.
+            self._journal.record_outcome(fresh[-1])
+
+    def finish(self) -> None:
+        """Refuse a log holding more records than the run produced."""
+        if self.replaying:
+            raise CheckpointError(
+                f"{self._journal.path}: {self._noun} {self.settled} "
+                f"does not replay (logged "
+                f"{self.logged[self.settled]['line']!r}, but the run "
+                f"produced only {self.settled} records)"
+            )
+
+    def close(self) -> None:
+        self._journal.close()

@@ -2,15 +2,15 @@
 the scheduling machinery underneath them changes.
 
 One SHA-256 digest per (scheduler policy, scenario) of the run's
-``journal_text()``, plus the digest of the final checkpoint file for
-the scenario that writes one. The scenarios cover the three admission
+``journal_text()``, plus (under the ``checkpoint`` key) the digest of
+the resume log ``cluster.log`` for the scenario that writes one. The scenarios cover the three admission
 paths the simulator has:
 
 * ``clean`` — the perfbench ``cluster`` fleet (4 x 512 MiB, 96
   arrivals of the default mix at 0.5/s): a standing queue that every
   departure drains;
 * ``faults`` — node crashes, drains and tenant kills with a per-node
-  rescue budget, checkpointed after every event;
+  rescue budget, with its resume log in a checkpoint directory;
 * ``backpressure`` — down-granting and queue-depth shedding on a hot
   stream.
 
@@ -36,12 +36,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ArrivalStream, BackpressurePolicy, ClusterSim, make_fleet
-from repro.cluster.checkpoint import cluster_checkpoint_path
 from repro.cluster.scheduler import (
     SCHEDULER_NAMES,
     SchedulerPolicy,
     get_scheduler,
 )
+from repro.cluster.simulator import CLUSTER_LOG_FILENAME
 from repro.faults.plan import FaultPlan
 from repro.units import MIB
 
@@ -113,7 +113,7 @@ def journal_fingerprint(
         digests = {"journal": _sha256(text.encode())}
         if writes:
             digests["checkpoint"] = _sha256(
-                cluster_checkpoint_path(tmp).read_bytes()
+                (Path(tmp) / CLUSTER_LOG_FILENAME).read_bytes()
             )
     return {"digests": digests, "text": text}
 

@@ -117,7 +117,7 @@ class TestExtentAllocator:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["alloc", "free", "reset", "restore"]),
+                st.sampled_from(["alloc", "free", "reset"]),
                 st.integers(0, 10**6),
             ),
             min_size=1,
@@ -128,9 +128,9 @@ class TestExtentAllocator:
     def test_derived_fields_track_the_hole_list(self, ops):
         """``total_free``, ``largest_free`` and ``fragmentation`` are
         plain attributes kept up to date by every mutation: after each
-        alloc, free, reset or ``restore(holes())`` they equal a
-        recomputation from :meth:`holes`, ``fragmentation`` exactly
-        (the fleet mean sums these very floats into the journal)."""
+        alloc, free or reset they equal a recomputation from
+        :meth:`holes`, ``fragmentation`` exactly (the fleet mean sums
+        these very floats into the journal)."""
         total = 1000
         alloc = ExtentAllocator(total)
         live: list = []
@@ -141,11 +141,9 @@ class TestExtentAllocator:
                     live.append(extent)
             elif op == "free":
                 alloc.free(live.pop(magnitude % len(live)))
-            elif op == "reset":
+            else:
                 alloc.reset()
                 live.clear()
-            else:
-                alloc = ExtentAllocator.restore(total, alloc.holes())
             sizes = [size for _, size in alloc.holes()]
             free = sum(sizes)
             largest = max(sizes, default=0)
@@ -179,37 +177,6 @@ class TestExtentAllocator:
         alloc.reset()
         assert alloc.holes() == ((0, 100),)
         assert alloc.fragmentation == 0.0
-
-    def test_restore_round_trips_holes(self):
-        alloc = ExtentAllocator(100)
-        a = alloc.alloc(20)
-        b = alloc.alloc(20)
-        alloc.alloc(20)
-        alloc.free(a)
-        alloc.free(b)
-        restored = ExtentAllocator.restore(100, alloc.holes())
-        assert restored.holes() == alloc.holes()
-        assert restored.total_free == alloc.total_free
-
-    def test_restore_accepts_fully_allocated(self):
-        restored = ExtentAllocator.restore(100, ())
-        assert restored.total_free == 0
-        assert restored.largest_free == 0
-
-    @pytest.mark.parametrize(
-        "holes,message",
-        [
-            ([(0, 120)], "outside"),
-            ([(-5, 10)], "outside"),
-            ([(0, 0)], "outside"),
-            ([(20, 10), (0, 10)], "unsorted or overlapping"),
-            ([(0, 10), (5, 10)], "unsorted or overlapping"),
-            ([(0, 10), (10, 10)], "not coalesced"),
-        ],
-    )
-    def test_restore_rejects_corrupt_hole_lists(self, holes, message):
-        with pytest.raises(ConfigError, match=message):
-            ExtentAllocator.restore(100, holes)
 
 
 class TestNodeSpec:

@@ -1,7 +1,8 @@
 """Chaos test: SIGKILL a live repro-cluster run, resume, byte-diff.
 
-The cluster simulator's crash-safety claim — checkpoint every event
-batch, resume replays only the rest, the decision journal is
+The cluster simulator's crash-safety claim — every journal line is
+appended to a resume log as it is written, a resume re-runs from t=0
+verifying the logged lines, and the decision journal is
 byte-identical — is only honest against a real SIGKILL delivered to
 a live process at an arbitrary moment, with node crashes, tenant
 kills and an overload burst in the plan at the same time.
@@ -18,11 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import cluster_main
-from repro.cluster.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    load_cluster_checkpoint,
-)
+from repro.cluster.simulator import CLUSTER_LOG_FILENAME
 from repro.faults.plan import FaultPlan
+from repro.parallel.journal import read_journal
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -116,16 +115,17 @@ class TestSigkillResume:
         # The kill landed before the journal was written.
         assert not journal.exists()
 
-        # Whatever batch the checkpoint holds, --resume must finish
-        # the run and write the exact bytes of the uninterrupted one.
+        # Whatever prefix the log holds, --resume must finish the run
+        # and write the exact bytes of the uninterrupted one.
         assert cluster_main(
             cluster_args(plan_path, journal, checkpoints, resume=True)
         ) == 0
         assert journal.read_bytes() == baseline.read_bytes()
 
     def test_checkpoint_readable_after_kill(self, tmp_path, plan_path):
-        """The atomically-written checkpoint must parse after a kill:
-        either no batch settled yet, or a whole consistent payload."""
+        """The resume log must parse after a kill: a manifest, then
+        whole records numbered from 0 (a torn tail is at most one
+        record, which a resume truncates)."""
         journal = tmp_path / "x.journal"
         checkpoints = tmp_path / "ckpt"
         victim = launch_victim(
@@ -140,12 +140,19 @@ class TestSigkillResume:
             if victim.poll() is None:
                 victim.kill()
             victim.stdout.close()
-        payload = load_cluster_checkpoint(checkpoints)
-        if payload is not None:  # at least one batch settled pre-kill
-            assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION
-            assert not payload["finalized"]
-            assert len(payload["nodes"]) == 4
-            assert payload["events_processed"] >= 1
+        log = checkpoints / CLUSTER_LOG_FILENAME
+        if log.exists():  # the run got as far as opening its log
+            replay = read_journal(log)
+            assert set(replay.manifest) == {"session_key"}
+            assert replay.damaged_records <= 1
+            assert sorted(replay.settled, key=int) == [
+                str(i) for i in range(len(replay.settled))
+            ]
+            lines = [replay.settled[str(i)]["line"]
+                     for i in range(len(replay.settled))]
+            assert lines[0].startswith("# repro-cluster nodes=4 ")
+            # Killed mid-run: the footer was never logged.
+            assert not any(line.startswith("accounting ") for line in lines)
 
     def test_resume_without_checkpoint_dir_fails_fast(
         self, tmp_path, plan_path, capsys

@@ -164,6 +164,18 @@ class TestSweepJournal:
         with pytest.raises(JournalError, match="different sweep"):
             SweepJournal.resume(tmp_path, {"sweep_key": "other"})
 
+    def test_resume_refuses_any_foreign_manifest(self, tmp_path):
+        """Manifests are compared whole, not by ``sweep_key`` alone:
+        two sessions that carry no sweep key still differ, and the
+        refused journal is left byte-identical."""
+        with SweepJournal.create(tmp_path, {"session_key": "aaa"}) as journal:
+            journal.record_outcome({"key": "0", "line": "x"})
+        path = tmp_path / JOURNAL_FILENAME
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match="different sweep"):
+            SweepJournal.resume(tmp_path, {"session_key": "bbb"})
+        assert path.read_bytes() == before
+
     def test_resume_refuses_headless_file(self, tmp_path):
         (tmp_path / JOURNAL_FILENAME).write_text("junk\n")
         with pytest.raises(JournalError, match="manifest"):
