@@ -21,7 +21,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.resilience import run_resilience_sweep
 from repro.machine.config import xeon_phi_7250
 from repro.metrics import percent_gain
-from repro.parallel.sweep import run_sweep
+from repro.parallel.sweep import SweepConfig, SweepExecutor
 from repro.pipeline.framework import HybridMemoryFramework
 from repro.placement.policies import run_ddr_only, run_framework
 from repro.reporting.tables import (
@@ -273,6 +273,73 @@ def place_main(argv: list[str] | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# sweep flags shared by repro-experiment and repro-faults
+# ---------------------------------------------------------------------------
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The applications and the sweep knobs both sweep commands take."""
+    parser.add_argument("apps", nargs="+", choices=ALL_APP_NAMES, metavar="app",
+                        help=f"application model(s) ({', '.join(ALL_APP_NAMES)})")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("-j", "--jobs", type=int, default=1,
+                        help="worker processes for the sweep "
+                        "(default 1: in-process serial execution)")
+    parser.add_argument("--cache-dir", type=Path, default=None,
+                        help="directory for the content-addressed "
+                        "result cache (warm re-runs skip all stages)")
+    parser.add_argument("--retries", type=int, default=1,
+                        help="re-executions granted to a failing cell, "
+                        "whether it raised, overran --cell-deadline or "
+                        "lost its worker (default 1)")
+    parser.add_argument("--backoff", type=float, default=0.0,
+                        metavar="SECONDS",
+                        help="base retry delay; attempt n waits a "
+                        "decorrelated-jitter delay seeded per cell "
+                        "(default 0: no delay)")
+    parser.add_argument("--cell-deadline", type=float, default=None,
+                        metavar="SECONDS",
+                        help="wall-clock limit per cell attempt; an "
+                        "overrun is a transient failure (with -j>1 its "
+                        "worker is killed and replaced)")
+    parser.add_argument("--error-budget", type=int, default=None,
+                        metavar="N",
+                        help="after N cells fail, skip the remaining "
+                        "cells instead of executing them (fail-fast)")
+    parser.add_argument("--circuit-threshold", type=int, default=None,
+                        metavar="N",
+                        help="open an application's circuit (skip its "
+                        "remaining cells) after N deterministic "
+                        "failures")
+    parser.add_argument("--journal-dir", type=Path, default=None,
+                        help="directory for the crash-consistent sweep "
+                        "journal (repro-faults: one rung-<factor> "
+                        "subdirectory per rung); a killed sweep can be "
+                        "relaunched with --resume")
+    parser.add_argument("--resume", action="store_true",
+                        help="replay settled cells from the journal in "
+                        "--journal-dir and execute only the rest")
+
+
+def _sweep_config(args: argparse.Namespace, **fields) -> SweepConfig:
+    """The :class:`SweepConfig` of :func:`_sweep_arguments`' flags,
+    plus the command's own ``fields``."""
+    return SweepConfig(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        seed=args.seed,
+        retries=args.retries,
+        backoff_seconds=args.backoff,
+        cell_deadline=args.cell_deadline,
+        error_budget=args.error_budget,
+        circuit_threshold=args.circuit_threshold,
+        journal_dir=args.journal_dir,
+        resume=args.resume,
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
 # repro-experiment
 # ---------------------------------------------------------------------------
 
@@ -287,57 +354,13 @@ def experiment_main(argv: list[str] | None = None) -> int:
         "processes and warm re-runs are answered from the result "
         "cache without executing any pipeline stage.",
     )
-    parser.add_argument("apps", nargs="+", choices=ALL_APP_NAMES, metavar="app",
-                        help=f"application model(s) ({', '.join(ALL_APP_NAMES)})")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for the sweep "
-                        "(default 1: in-process serial execution)")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for the content-addressed "
-                        "result cache (warm re-runs skip all stages)")
+    _sweep_arguments(parser)
     parser.add_argument("--metrics", action="store_true",
                         help="print per-stage execution counts and "
                         "wall time after the results")
     parser.add_argument("--fault-plan", type=Path, default=None,
                         help="JSON fault plan to inject (seeded, "
                         "deterministic degradation; see repro-faults)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="re-executions granted to a faulting cell "
-                        "(default 1)")
-    parser.add_argument("--backoff", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="base retry delay; attempt n waits a "
-                        "decorrelated-jitter delay seeded per cell "
-                        "(default 0: no delay)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock limit per cell attempt")
-    parser.add_argument("--error-budget", type=int, default=None,
-                        metavar="N",
-                        help="after N cells fail, skip the remaining "
-                        "cells instead of executing them (fail-fast)")
-    parser.add_argument("--journal-dir", type=Path, default=None,
-                        help="directory for the crash-consistent sweep "
-                        "journal; a killed sweep can be relaunched "
-                        "with --resume")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay settled cells from the journal in "
-                        "--journal-dir and execute only the rest")
-    parser.add_argument("--cell-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell wall-clock deadline; with -j>1 "
-                        "a worker whose cell overruns it is killed and "
-                        "the cell requeued (worker supervision)")
-    parser.add_argument("--requeue-budget", type=int, default=2,
-                        metavar="N",
-                        help="requeues granted to a cell whose worker "
-                        "died or was killed (default 2)")
-    parser.add_argument("--circuit-threshold", type=int, default=None,
-                        metavar="N",
-                        help="open an application's circuit (skip its "
-                        "remaining cells) after N deterministic "
-                        "failures")
     parser.add_argument("--shared-plane", action="store_true",
                         help="with -j>1, profile each application once "
                         "in the parent and publish the trace to a "
@@ -356,24 +379,13 @@ def experiment_main(argv: list[str] | None = None) -> int:
             if args.fault_plan is not None
             else None
         )
-        sweep = run_sweep(
-            apps,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            seed=args.seed,
-            retries=args.retries,
-            backoff_seconds=args.backoff,
-            timeout_seconds=args.timeout,
-            error_budget=args.error_budget,
+        config = _sweep_config(
+            args,
             fault_plan=fault_plan,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
-            cell_deadline=args.cell_deadline,
-            requeue_budget=args.requeue_budget,
-            circuit_threshold=args.circuit_threshold,
             shared_plane=args.shared_plane,
             plane_backend=args.plane_backend,
         )
+        sweep = SweepExecutor(config=config).run(apps)
         if sweep.resumed:
             print(
                 f"resume: {len(sweep.resumed)} of {len(sweep.outcomes)} "
@@ -426,37 +438,13 @@ def faults_main(argv: list[str] | None = None) -> int:
         "resilience table: cell survival, degradation events and "
         "placement quality relative to the clean run.",
     )
-    parser.add_argument("apps", nargs="+", choices=ALL_APP_NAMES, metavar="app",
-                        help=f"application model(s) ({', '.join(ALL_APP_NAMES)})")
     parser.add_argument("--plan", type=Path, required=True,
                         help="JSON fault plan (the factor-1 rung; other "
                         "rungs scale its rates)")
     parser.add_argument("--factors", default="0,0.5,1",
                         help="comma-separated fault-intensity ladder "
                         "(0 = clean reference; default 0,0.5,1)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-j", "--jobs", type=int, default=1)
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    parser.add_argument("--retries", type=int, default=1)
-    parser.add_argument("--backoff", type=float, default=0.0,
-                        metavar="SECONDS")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS")
-    parser.add_argument("--error-budget", type=int, default=None,
-                        metavar="N")
-    parser.add_argument("--journal-dir", type=Path, default=None,
-                        help="journal root; each rung journals under "
-                        "its own rung-<factor> subdirectory")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume each rung from its journal")
-    parser.add_argument("--cell-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell deadline (worker supervision "
-                        "with -j>1)")
-    parser.add_argument("--requeue-budget", type=int, default=2,
-                        metavar="N")
-    parser.add_argument("--circuit-threshold", type=int, default=None,
-                        metavar="N")
+    _sweep_arguments(parser)
     parser.add_argument("--min-survival", type=float, default=None,
                         metavar="FRACTION",
                         help="fail (exit 1) if any rung's cell survival "
@@ -476,21 +464,7 @@ def faults_main(argv: list[str] | None = None) -> int:
         if not factors:
             raise ReproError("--factors must name at least one rung")
         table = run_resilience_sweep(
-            apps,
-            plan,
-            factors=factors,
-            jobs=args.jobs,
-            seed=args.seed,
-            retries=args.retries,
-            backoff_seconds=args.backoff,
-            timeout_seconds=args.timeout,
-            error_budget=args.error_budget,
-            cache_dir=args.cache_dir,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
-            cell_deadline=args.cell_deadline,
-            requeue_budget=args.requeue_budget,
-            circuit_threshold=args.circuit_threshold,
+            apps, plan, factors=factors, config=_sweep_config(args)
         )
         print(format_resilience(table))
         if (

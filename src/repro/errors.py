@@ -4,7 +4,7 @@ Every error raised by the library derives from :class:`ReproError` so
 callers can catch library failures without masking programming errors.
 
 On top of the hierarchy sits a three-way **failure taxonomy** the
-sweep scheduler keys its retry/requeue/skip decisions off (instead of
+sweep scheduler keys its retry/skip decisions off (instead of
 string-matching tracebacks):
 
 * ``transient`` — the attempt failed for reasons unrelated to the
@@ -164,22 +164,6 @@ class InjectedFaultError(ReproError):
     Injected kills model transient infrastructure faults, so the
     scheduler is expected to retry them.
     """
-
-    category = CATEGORY_TRANSIENT
-
-
-class WorkerCrashError(ReproError):
-    """A sweep worker process died mid-cell (SIGKILL, segfault, OOM
-    killer). The cell itself is not implicated, so the supervisor
-    requeues it on a fresh worker."""
-
-    category = CATEGORY_TRANSIENT
-
-
-class CellDeadlineError(ReproError):
-    """A cell attempt overran its wall-clock deadline and its worker
-    was killed. Hangs are usually environmental, so the cell is
-    requeued within the requeue budget."""
 
     category = CATEGORY_TRANSIENT
 

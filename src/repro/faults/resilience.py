@@ -11,12 +11,16 @@ as the clean reference the quality column is normalised against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.apps.base import SimApplication
 from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig
+
+if TYPE_CHECKING:
+    from repro.parallel.sweep import SweepConfig
 
 #: Default fault-intensity ladder (0 = clean reference).
 DEFAULT_FACTORS: tuple[float, ...] = (0.0, 0.5, 1.0)
@@ -33,7 +37,8 @@ class ResilienceRow:
     cells_failed: int
     cells_skipped: int
     retries: int
-    timeouts: int
+    #: Cell attempts that overran ``cell_deadline``.
+    deadlines: int
     ooms: int
     cells_killed: int
     cells_hung: int
@@ -71,54 +76,35 @@ def run_resilience_sweep(
     factors: tuple[float, ...] = DEFAULT_FACTORS,
     machine: MachineConfig | None = None,
     grid=None,
-    jobs: int = 1,
-    seed: int = 0,
-    retries: int = 1,
-    backoff_seconds: float = 0.0,
-    timeout_seconds: float | None = None,
-    error_budget: int | None = None,
-    cache_dir: str | Path | None = None,
-    journal_dir: str | Path | None = None,
-    resume: bool = False,
-    cell_deadline: float | None = None,
-    requeue_budget: int = 2,
-    circuit_threshold: int | None = None,
+    config: SweepConfig | None = None,
 ) -> ResilienceTable:
     """Run the Figure-4 sweep at every rung of the fault ladder.
 
-    With ``journal_dir`` set, each rung journals (and resumes) under
+    ``config`` carries the sweep knobs every rung shares; each rung
+    replaces its ``fault_plan`` with the scaled plan. With
+    ``config.journal_dir`` set, each rung journals (and resumes) under
     its own ``rung-<factor>`` subdirectory — rungs are distinct sweeps
     with distinct identities, so they must never share a journal.
     """
     # Imported lazily: repro.parallel.sweep itself imports this
     # package, so a top-level import here would be circular.
+    from repro.parallel.supervisor import REASON_DEADLINE
     from repro.parallel.sweep import SweepConfig, SweepExecutor
 
+    config = config or SweepConfig()
     table = ResilienceTable(applications=tuple(a.name for a in apps))
     clean_foms: dict[tuple, float] = {}
     for factor in factors:
         rung_plan = None if factor == 0 else plan.scaled(factor)
         rung_journal = (
-            Path(journal_dir) / f"rung-{factor:g}"
-            if journal_dir is not None
+            Path(config.journal_dir) / f"rung-{factor:g}"
+            if config.journal_dir is not None
             else None
         )
-        config = SweepConfig(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            seed=seed,
-            retries=retries,
-            backoff_seconds=backoff_seconds,
-            timeout_seconds=timeout_seconds,
-            error_budget=error_budget,
-            fault_plan=rung_plan,
-            journal_dir=rung_journal,
-            resume=resume,
-            cell_deadline=cell_deadline,
-            requeue_budget=requeue_budget,
-            circuit_threshold=circuit_threshold,
+        rung_config = replace(
+            config, fault_plan=rung_plan, journal_dir=rung_journal
         )
-        result = SweepExecutor(machine=machine, config=config).run(
+        result = SweepExecutor(machine=machine, config=rung_config).run(
             list(apps), grid=grid
         )
         if factor == 0:
@@ -148,7 +134,7 @@ def run_resilience_sweep(
                 cells_failed=len(result.outcomes) - ok - skipped,
                 cells_skipped=skipped,
                 retries=counters.count("retry"),
-                timeouts=counters.count("timeout"),
+                deadlines=counters.count(REASON_DEADLINE),
                 ooms=counters.count("oom"),
                 cells_killed=counters.count("cell_killed"),
                 cells_hung=counters.count("cell_hung"),

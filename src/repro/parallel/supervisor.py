@@ -16,24 +16,20 @@ The parent's supervision state machine, per worker::
 
     spawned -> idle -> busy(batch, limit) -> idle -> ...
                          |
-                         +-- timeout exceeded ---> killed, cells fail (timeout)
-                         +-- deadline exceeded --> killed, batch requeued
-                         +-- process died (EOF) -> batch requeued
+                         +-- deadline exceeded --> killed, replaced
+                         +-- process died (EOF) -> replaced
 
-A batch's time limit is ``timeout_seconds`` (or ``cell_deadline``,
-whichever is shorter) per cell; the sweep pins batches to one cell
-whenever either is set. A timeout is an in-band failure: the cells
-settle as transient errors and the sweep retries them under its
-``retries``. Any other loss requeues the batch, *bounded* by
-``requeue_budget``; a batch that outlives the budget surfaces as
-terminal :class:`CellAborted` events carrying a transient-category
-error, so the sweep records an honest failure instead of looping
-forever. Killed and dead workers are replaced immediately, keeping
-the pool at strength.
+A batch's time limit is ``cell_deadline`` per cell; the sweep pins
+batches to one cell whenever it is set. A lost worker is killed (if
+still alive) and replaced immediately, keeping the pool at strength,
+and every cell of its batch settles *in-band* as a transient
+:class:`CellResult` whose error names the cause and whose metrics
+count it. The sweep retries those cells under its ``retries``, like
+any other transient failure: there is one way to lose an attempt.
 
 Execution is at-least-once: a worker killed in the instant between
-finishing a batch and the parent reading its answer causes one wasted
-re-execution, but outcomes settle exactly once (the dead worker's pipe
+finishing a batch and the parent reading its answer costs its cells
+one retry, but outcomes settle exactly once (the dead worker's pipe
 is never read again).
 """
 
@@ -46,18 +42,12 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any
 
-from repro.errors import (
-    CATEGORY_TRANSIENT,
-    CellDeadlineError,
-    ConfigError,
-    WorkerCrashError,
-)
+from repro.errors import CATEGORY_TRANSIENT, ConfigError
 from repro.parallel.watchdog import start_orphan_watchdog
 
-#: Worker-loss reasons (also used as metric counter names by the sweep).
+#: Worker-loss reasons, also the metric counter each lost cell bumps.
 REASON_CRASH = "worker_crash"
-REASON_DEADLINE = "deadline_kill"
-REASON_TIMEOUT = "timeout"
+REASON_DEADLINE = "deadline"
 
 
 def _worker_main(conn, machine, seed, plan, plane_handles: dict) -> None:
@@ -100,10 +90,9 @@ class Batch:
     app: Any
     task_ids: list[int]
     cells: list
-    #: Attempt number per cell, passed to the worker; bumped on every
-    #: requeue so seeded fault injection sees requeues as fresh attempts.
+    #: Attempt number per cell, passed to the worker so seeded fault
+    #: injection sees every retry as a fresh attempt.
     attempts: list[int]
-    requeues: int = 0
 
 
 @dataclass
@@ -132,25 +121,6 @@ class CellResult:
     metrics: dict
 
 
-@dataclass
-class CellRequeued:
-    """A cell's worker was lost; the cell went back to the queue."""
-
-    task_id: int
-    reason: str
-    requeues: int
-
-
-@dataclass
-class CellAborted:
-    """A cell exhausted its requeue budget; terminal failure."""
-
-    task_id: int
-    error: str
-    category: str
-    reason: str
-
-
 class WorkerSupervisor:
     """Own, feed, watch, kill and replace a fleet of cell workers."""
 
@@ -162,42 +132,23 @@ class WorkerSupervisor:
         plan,
         *,
         cell_deadline: float | None = None,
-        timeout_seconds: float | None = None,
-        requeue_budget: int = 2,
         plane_handles: dict | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigError("supervisor needs at least one worker")
         if cell_deadline is not None and cell_deadline <= 0:
             raise ConfigError("cell_deadline must be positive")
-        if requeue_budget < 0:
-            raise ConfigError("requeue_budget must be >= 0")
         self.jobs = jobs
         self.machine = machine
         self.seed = seed
         self.plan = plan
         self.plane_handles = plane_handles or {}
         self.cell_deadline = cell_deadline
-        self.timeout_seconds = timeout_seconds
-        self.requeue_budget = requeue_budget
-        #: (seconds per cell, loss reason) of the tighter time limit;
-        #: a timeout wins a tie.
-        limits = [
-            (seconds, reason)
-            for seconds, reason in (
-                (timeout_seconds, REASON_TIMEOUT),
-                (cell_deadline, REASON_DEADLINE),
-            )
-            if seconds is not None
-        ]
-        self._limit = min(limits, key=lambda l: l[0]) if limits else None
         self._ctx = multiprocessing.get_context()
         self.workers: dict[int, WorkerHandle] = {}
         self._queue: deque[Batch] = deque()
         self._next_worker = 0
         self._next_task = 0
-        #: Workers killed/lost, by reason (observability roll-up).
-        self.losses: dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -254,7 +205,7 @@ class WorkerSupervisor:
     @property
     def capacity(self) -> int:
         """Batches the supervisor accepts right now: one running and
-        one queued per worker (requeued batches count against it)."""
+        one queued per worker."""
         busy = sum(1 for w in self.workers.values() if w.batch is not None)
         return max(0, 2 * len(self.workers) - busy - len(self._queue))
 
@@ -284,60 +235,37 @@ class WorkerSupervisor:
             handle.batch = batch
             # The clock starts at dispatch (not when the worker picks
             # the batch up), so a worker dead-on-arrival still trips it.
-            if self._limit is not None:
+            if self.cell_deadline is not None:
                 handle.limit = (
-                    time.monotonic() + self._limit[0] * len(batch.cells)
+                    time.monotonic() + self.cell_deadline * len(batch.cells)
                 )
 
     # -- supervision ----------------------------------------------------
 
     def _lose_worker(self, handle: WorkerHandle, reason: str) -> list:
-        """Reap one lost worker, replace it, and settle its batch: a
-        timeout fails the cells in-band, any other loss requeues the
-        batch or, past the budget, aborts it."""
-        self.losses[reason] = self.losses.get(reason, 0) + 1
+        """Reap one lost worker, replace it, and fail its batch's cells
+        in-band as transient errors that name (and count) the cause."""
         del self.workers[handle.ident]
         if handle.proc.is_alive():
             handle.proc.kill()
         handle.proc.join(timeout=1.0)
         handle.conn.close()
         self._spawn()
-        batch = handle.batch
-        if batch is None:
+        if handle.batch is None:
             return []
-        if reason == REASON_TIMEOUT:
+        if reason == REASON_DEADLINE:
             error = (
-                f"timeout: attempt exceeded {self.timeout_seconds}s; "
+                f"{reason}: attempt exceeded {self.cell_deadline}s; "
                 "worker killed"
             )
-            return [
-                CellResult(
-                    task_id, None, error, CATEGORY_TRANSIENT,
-                    {"counters": {"timeout": 1}},
-                )
-                for task_id in batch.task_ids
-            ]
-        if batch.requeues < self.requeue_budget:
-            batch.requeues += 1
-            batch.attempts = [attempt + 1 for attempt in batch.attempts]
-            self._queue.appendleft(batch)
-            return [
-                CellRequeued(task_id, reason, batch.requeues)
-                for task_id in batch.task_ids
-            ]
-        if reason == REASON_DEADLINE:
-            exc: Exception = CellDeadlineError(
-                f"cell exceeded its {self.cell_deadline}s deadline "
-                f"on {batch.requeues + 1} worker(s); worker killed"
-            )
         else:
-            exc = WorkerCrashError(
-                f"worker died executing the cell ({reason}); "
-                f"requeue budget ({self.requeue_budget}) exhausted"
-            )
+            error = f"{reason}: worker died executing the cell"
         return [
-            CellAborted(task_id, str(exc), exc.category, reason)
-            for task_id in batch.task_ids
+            CellResult(
+                task_id, None, error, CATEGORY_TRANSIENT,
+                {"counters": {reason: 1}},
+            )
+            for task_id in handle.batch.task_ids
         ]
 
     def _receive(self, handle: WorkerHandle) -> list:
@@ -379,6 +307,6 @@ class WorkerSupervisor:
                 # and avoids one wasted re-execution.
                 events.extend(self._receive(handle))
                 if handle.batch is not None and handle.ident in self.workers:
-                    events.extend(self._lose_worker(handle, self._limit[1]))
+                    events.extend(self._lose_worker(handle, REASON_DEADLINE))
         self._dispatch()
         return events

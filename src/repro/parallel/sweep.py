@@ -20,11 +20,11 @@ profiling run) per application, while the parent
   taxonomy (:mod:`repro.errors`): transient and deterministic failures
   retry, poisoned-input failures fail immediately;
 * owns its workers through the :class:`WorkerSupervisor`: a worker
-  whose cell overruns ``timeout_seconds`` is killed and the cell
-  retried; one that overruns ``cell_deadline`` or dies is replaced and
-  its cells requeued within a bounded budget; repeated deterministic
-  failures trip a per-application :class:`CircuitBreaker` that
-  refuses the app's remaining cells;
+  whose cell overruns ``cell_deadline``, or that dies, is replaced and
+  its cells fail in-band as transient errors, retried under the same
+  ``retries`` as any other failure; repeated deterministic failures
+  trip a per-application :class:`CircuitBreaker` that refuses the
+  app's remaining cells;
 * enforces an optional error budget: once the budget of failed cells
   is spent, remaining cells are recorded as skipped (fail-fast);
 * merges every per-cell :class:`StageMetrics` record into one
@@ -85,8 +85,7 @@ from repro.parallel.result_cache import (
 # ``wait`` is the call the parent blocks in while workers run; it is
 # bound here too so that tracing can wrap it by this module's name.
 from repro.parallel.supervisor import (
-    CellAborted,
-    CellRequeued,
+    REASON_DEADLINE,
     CellResult,
     WorkerSupervisor,
     wait,
@@ -128,17 +127,13 @@ class SweepConfig:
     #: Base seed; each application's framework profiles with it, so
     #: sweep rows match ``run_figure4_experiment(app, seed=seed)``.
     seed: int = 0
-    #: Re-executions granted to a faulting cell before it is recorded
+    #: Re-executions granted to a failing cell — an in-band error, a
+    #: deadline overrun or a dead worker alike — before it is recorded
     #: as an error outcome (poisoned-input failures never retry).
     retries: int = 1
     #: Base delay before a retry; attempt ``n`` waits a decorrelated-
     #: jitter delay seeded per cell (0 disables backoff).
     backoff_seconds: float = 0.0
-    #: Wall-clock limit per cell attempt; an attempt exceeding it is
-    #: treated as a transient failure (and retried). With ``jobs > 1``
-    #: the overrunning worker is killed and replaced; serially the
-    #: limit is enforced post hoc. None: no limit.
-    timeout_seconds: float | None = None
     #: After this many cells have *finally* failed, stop executing and
     #: record every remaining cell as skipped. None: run everything.
     error_budget: int | None = None
@@ -151,15 +146,11 @@ class SweepConfig:
     #: Replay settled cells from an existing journal in
     #: ``journal_dir`` and execute only the unfinished remainder.
     resume: bool = False
-    #: Wall-clock deadline per dispatched cell. With ``jobs > 1`` a
-    #: worker whose cell overruns the deadline is killed and the cell
-    #: requeued. Serially it is enforced post hoc (like
-    #: ``timeout_seconds``).
+    #: Wall-clock limit per cell attempt; an attempt exceeding it is a
+    #: transient failure, retried under ``retries``. With ``jobs > 1``
+    #: the overrunning worker is killed and replaced; in-process the
+    #: limit is enforced post hoc. None: no limit.
     cell_deadline: float | None = None
-    #: Requeues granted to a cell whose worker died or was killed
-    #: (out-of-band failures — distinct from ``retries``, which
-    #: governs in-band failures reported by a live worker).
-    requeue_budget: int = 2
     #: Deterministic-category final failures an application may
     #: accumulate before its circuit opens and its remaining cells are
     #: refused. None: breaker disabled.
@@ -180,14 +171,10 @@ class SweepConfig:
             raise ConfigError("retries must be >= 0")
         if self.backoff_seconds < 0:
             raise ConfigError("backoff_seconds must be >= 0")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigError("timeout_seconds must be positive")
         if self.error_budget is not None and self.error_budget < 1:
             raise ConfigError("error_budget must be >= 1")
         if self.cell_deadline is not None and self.cell_deadline <= 0:
             raise ConfigError("cell_deadline must be positive")
-        if self.requeue_budget < 0:
-            raise ConfigError("requeue_budget must be >= 0")
         if self.circuit_threshold is not None and self.circuit_threshold < 1:
             raise ConfigError("circuit_threshold must be >= 1")
         if self.resume and self.journal_dir is None:
@@ -234,8 +221,8 @@ class SweepResult:
     outcomes: list[CellOutcome] = field(default_factory=list)
     #: Sweep-level roll-up of every cell's stage record plus the
     #: bookkeeping counters (cache_hit/cache_miss/error/retry/
-    #: timeout/skipped/journal_replay/requeue/deadline_kill/
-    #: worker_crash/circuit_open and the fault-degradation counters).
+    #: deadline/worker_crash/skipped/journal_replay/circuit_open and
+    #: the fault-degradation counters).
     metrics: StageMetrics = field(default_factory=StageMetrics)
 
     @property
@@ -409,10 +396,10 @@ class InProcessWorkers:
 
     A submitted cell runs when polled, through the same
     :func:`_execute_cell` a worker runs. Nothing here can preempt a
-    cell, so ``timeout_seconds`` and ``cell_deadline`` are enforced
-    post hoc: an attempt over either limit is a transient failure
-    even if it produced a row. ``SystemExit`` and
-    ``KeyboardInterrupt`` unwind through the sweep.
+    cell, so ``cell_deadline`` is enforced post hoc: an attempt over
+    it is a transient failure even if it produced a row, counted like
+    a worker's deadline kill. ``SystemExit`` and ``KeyboardInterrupt``
+    unwind through the sweep.
     """
 
     def __init__(
@@ -420,21 +407,12 @@ class InProcessWorkers:
         machine: MachineConfig,
         seed: int,
         plan: FaultPlan | None,
-        timeout_seconds: float | None = None,
         cell_deadline: float | None = None,
     ) -> None:
         self.machine = machine
         self.seed = seed
         self.plan = plan
-        #: (limit, error label, counter), checked in this order.
-        self._limits = [
-            (limit, label, counter)
-            for limit, label, counter in (
-                (timeout_seconds, "timeout", "timeout"),
-                (cell_deadline, "deadline", "deadline_exceeded"),
-            )
-            if limit is not None
-        ]
+        self.cell_deadline = cell_deadline
         self._frameworks: dict = {}
         self._queue: deque = deque()
         self._next_task = 0
@@ -460,16 +438,14 @@ class InProcessWorkers:
                 self.plan, attempt,
             )
             elapsed = time.monotonic() - start
-            for limit, label, counter in self._limits:
-                if elapsed > limit:
-                    row, category = None, CATEGORY_TRANSIENT
-                    error = (
-                        f"{label}: attempt took {elapsed:.3f}s "
-                        f"(limit {limit}s)"
-                    )
-                    counters = metrics["counters"]
-                    counters[counter] = counters.get(counter, 0) + 1
-                    break
+            deadline = self.cell_deadline
+            if deadline is not None and elapsed > deadline:
+                row, category = None, CATEGORY_TRANSIENT
+                error = (
+                    f"{REASON_DEADLINE}: attempt took {elapsed:.3f}s "
+                    f"(limit {deadline}s)"
+                )
+                metrics["counters"][REASON_DEADLINE] = 1
             events.append(CellResult(task_id, row, error, category, metrics))
         return events
 
@@ -661,9 +637,9 @@ class SweepExecutor:
     def _backoff(self, attempt_done: int, token: tuple = ()) -> float:
         """Delay before the attempt after ``attempt_done`` failed: the
         :func:`repro.retry.backoff_delay` schedule keyed on the sweep
-        seed and the cell, so cells requeued together after a worker
-        death spread out instead of stampeding the workers in
-        lockstep."""
+        seed and the cell, so cells that failed together (a dead
+        worker's batch) spread out instead of stampeding the workers
+        in lockstep."""
         return backoff_delay(
             self.config.backoff_seconds, attempt_done, self.config.seed,
             "backoff", token,
@@ -784,16 +760,10 @@ class SweepExecutor:
         Four batches per worker (enough slack for retries and
         stragglers to interleave, few enough dispatches to amortise
         IPC), capped at 32. A batch is one cell in-process, where
-        there is no IPC to amortise, and whenever a per-attempt
-        timeout or deadline is set, so the limit keeps meaning "per
-        cell".
+        there is no IPC to amortise, and whenever ``cell_deadline`` is
+        set, so the limit keeps meaning "per cell".
         """
-        config = self.config
-        if (
-            jobs == 1
-            or config.timeout_seconds is not None
-            or config.cell_deadline is not None
-        ):
+        if jobs == 1 or self.config.cell_deadline is not None:
             return 1
         return max(1, min(32, math.ceil(n_pending / (4 * jobs))))
 
@@ -811,7 +781,6 @@ class SweepExecutor:
                 self.machine,
                 config.seed,
                 config.fault_plan,
-                timeout_seconds=config.timeout_seconds,
                 cell_deadline=config.cell_deadline,
             )
             self._schedule(workers, pending, result, jobs)
@@ -833,8 +802,6 @@ class SweepExecutor:
                 config.seed,
                 config.fault_plan,
                 cell_deadline=config.cell_deadline,
-                timeout_seconds=config.timeout_seconds,
-                requeue_budget=config.requeue_budget,
                 plane_handles=planes,
             )
             with workers:
@@ -898,23 +865,8 @@ class SweepExecutor:
             failures += 1
             self._finish(result, outcome, key)
 
-        def settle(event) -> None:
-            nonlocal failures
-            app, outcome, key = tasks[event.task_id]
-            if isinstance(event, CellRequeued):
-                outcome.attempts += 1
-                result.metrics.bump("requeue")
-                result.metrics.bump(event.reason)
-                return
-            del tasks[event.task_id]
-            if isinstance(event, CellAborted):
-                outcome.row = None
-                outcome.error = event.error
-                outcome.category = event.category
-                result.metrics.bump(event.reason)
-                failures += 1
-                self._finish(result, outcome, key)
-                return
+        def settle(event: CellResult) -> None:
+            app, outcome, key = tasks.pop(event.task_id)
             outcome.metrics.merge(StageMetrics.from_dict(event.metrics))
             outcome.row, outcome.error = event.row, event.error
             outcome.category = event.category
@@ -992,13 +944,11 @@ def run_sweep(
     seed: int = 0,
     retries: int = 1,
     backoff_seconds: float = 0.0,
-    timeout_seconds: float | None = None,
     error_budget: int | None = None,
     fault_plan: FaultPlan | None = None,
     journal_dir: str | Path | None = None,
     resume: bool = False,
     cell_deadline: float | None = None,
-    requeue_budget: int = 2,
     circuit_threshold: int | None = None,
     shared_plane: bool = False,
     plane_backend: str = "shm",
@@ -1012,13 +962,11 @@ def run_sweep(
             seed=seed,
             retries=retries,
             backoff_seconds=backoff_seconds,
-            timeout_seconds=timeout_seconds,
             error_budget=error_budget,
             fault_plan=fault_plan,
             journal_dir=journal_dir,
             resume=resume,
             cell_deadline=cell_deadline,
-            requeue_budget=requeue_budget,
             circuit_threshold=circuit_threshold,
             shared_plane=shared_plane,
             plane_backend=plane_backend,

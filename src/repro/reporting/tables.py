@@ -127,6 +127,7 @@ def format_stage_metrics(metrics: StageMetrics) -> str:
 BOOKKEEPING_COUNTERS: tuple[str, ...] = (
     "cache_hit",
     "cache_miss",
+    "journal_replay",
     "plane_publish",
     "plane_publish_failed",
     "plane_attach",
@@ -134,8 +135,10 @@ BOOKKEEPING_COUNTERS: tuple[str, ...] = (
     "framework_evicted",
     "retry",
     "error",
-    "timeout",
+    "deadline",
+    "worker_crash",
     "skipped",
+    "circuit_open",
     "oom",
     "cell_killed",
     "cell_hung",
@@ -161,7 +164,7 @@ def format_resilience(table: "ResilienceTable") -> str:
             "failed",
             "skipped",
             "retries",
-            "timeouts",
+            "deadlines",
             "oom",
             "killed",
             "hung",
@@ -179,7 +182,7 @@ def format_resilience(table: "ResilienceTable") -> str:
             row.cells_failed,
             row.cells_skipped,
             row.retries,
-            row.timeouts,
+            row.deadlines,
             row.ooms,
             row.cells_killed,
             row.cells_hung,

@@ -75,3 +75,20 @@ class TestPipelineDegradationCounters:
         assert sweep.metrics.count("samples_corrupted") > 0
         assert sweep.metrics.count("hbw_fallback") > 0
         assert sweep.metrics.count("aslr_recovery") > 0
+
+
+class TestDeadlineColumn:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counts_deadline_overruns(self, jobs):
+        from repro.parallel.sweep import SweepConfig
+        from tests.parallel.test_sweep import FIVE_CELLS
+
+        plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
+        table = run_resilience_sweep(
+            [TinyApp()], plan, factors=(1.0,), grid=FIVE_CELLS,
+            config=SweepConfig(jobs=jobs, retries=0, cell_deadline=0.05),
+        )
+        (row,) = table.rows
+        assert row.cells_failed == 5
+        assert row.deadlines == 5
+        assert "deadlines" in format_resilience(table)

@@ -1,5 +1,5 @@
-"""Worker supervision: batches, deadline and timeout kills, requeues,
-circuits."""
+"""Worker supervision: batches, in-band loss events (deadline kills
+and dead workers), circuits."""
 
 import time
 from pathlib import Path
@@ -14,10 +14,8 @@ from repro.errors import (
 )
 from repro.machine.config import xeon_phi_7250
 from repro.parallel.supervisor import (
+    REASON_CRASH,
     REASON_DEADLINE,
-    REASON_TIMEOUT,
-    CellAborted,
-    CellRequeued,
     CellResult,
     WorkerSupervisor,
 )
@@ -52,28 +50,15 @@ class FailingApp(TinyApp):
         raise RuntimeError("deterministic model bug")
 
 
-class AlwaysHangs(TinyApp):
-    """Hangs on every attempt — no replacement worker can save it."""
-
-    name = "alwayshangs"
-
-    def run_profiling(self, seed=0, tracer_config=None):
-        time.sleep(60)
-
-
 def drain(supervisor, expected, deadline=30.0):
-    """Poll until ``expected`` terminal events arrived (or time out)."""
-    terminal = []
-    others = []
+    """Poll until ``expected`` cell results arrived (or time out)."""
+    events = []
     limit = time.monotonic() + deadline
-    while len(terminal) < expected:
+    while len(events) < expected:
         assert time.monotonic() < limit, "supervisor never settled"
-        for event in supervisor.poll(0.1):
-            if isinstance(event, (CellResult, CellAborted)):
-                terminal.append(event)
-            else:
-                others.append(event)
-    return terminal, others
+        events.extend(supervisor.poll(0.1))
+    assert all(isinstance(event, CellResult) for event in events)
+    return events
 
 
 class TestWorkerSupervisor:
@@ -82,10 +67,9 @@ class TestWorkerSupervisor:
         cells = enumerate_cells(app, SMALL_GRID)
         with WorkerSupervisor(2, machine, 0, None) as supervisor:
             ids = [supervisor.submit(app, [cell], [1])[0] for cell in cells]
-            terminal, _ = drain(supervisor, len(cells))
-        assert sorted(e.task_id for e in terminal) == sorted(ids)
-        assert all(isinstance(e, CellResult) for e in terminal)
-        assert all(e.row is not None and e.error is None for e in terminal)
+            events = drain(supervisor, len(cells))
+        assert sorted(e.task_id for e in events) == sorted(ids)
+        assert all(e.row is not None and e.error is None for e in events)
 
     def test_batch_answers_one_event_per_cell(self, machine):
         app = TinyApp()
@@ -93,9 +77,9 @@ class TestWorkerSupervisor:
         with WorkerSupervisor(1, machine, 0, None) as supervisor:
             ids = supervisor.submit(app, cells[:3], [1, 1, 1])
             ids += supervisor.submit(app, cells[3:], [1] * (len(cells) - 3))
-            terminal, _ = drain(supervisor, len(cells))
-        assert sorted(e.task_id for e in terminal) == ids
-        assert all(e.row is not None for e in terminal)
+            events = drain(supervisor, len(cells))
+        assert sorted(e.task_id for e in events) == ids
+        assert all(e.row is not None for e in events)
 
     def test_worker_failure_reported_in_band(self, machine):
         """An exception inside a cell comes back as a CellResult with
@@ -103,71 +87,40 @@ class TestWorkerSupervisor:
         app = FailingApp()
         cell = enumerate_cells(app, SMALL_GRID)[0]
         with WorkerSupervisor(1, machine, 0, None) as supervisor:
+            (worker,) = supervisor.workers
             supervisor.submit(app, [cell], [1])
-            terminal, _ = drain(supervisor, 1)
-        (event,) = terminal
-        assert isinstance(event, CellResult)
+            (event,) = drain(supervisor, 1)
+            assert list(supervisor.workers) == [worker]
         assert event.row is None
         assert "deterministic model bug" in event.error
         assert event.category == CATEGORY_DETERMINISTIC
-        assert supervisor.losses == {}
 
-    def test_deadline_kill_requeues_and_recovers(self, machine, tmp_path):
+    def test_timeout_kills_worker_and_fails_cell_in_band(
+        self, machine, tmp_path
+    ):
+        """An attempt overrunning ``cell_deadline`` is not retried by
+        the supervisor: the worker is killed and replaced, and the cell
+        comes back as a transient failure that names and counts the
+        deadline. The caller's retry recovers on the replacement."""
         app = SleepyApp()
         app.sentinel = str(tmp_path / "sentinel")
         cell = enumerate_cells(app, SMALL_GRID)[0]
-        supervisor = WorkerSupervisor(
-            1, machine, 0, None, cell_deadline=1.0, requeue_budget=2
-        )
+        supervisor = WorkerSupervisor(1, machine, 0, None, cell_deadline=1.0)
         with supervisor:
+            (victim,) = supervisor.workers
             supervisor.submit(app, [cell], [1])
-            terminal, others = drain(supervisor, 1)
-        (event,) = terminal
-        assert isinstance(event, CellResult)
-        assert event.row is not None
-        requeues = [e for e in others if isinstance(e, CellRequeued)]
-        assert len(requeues) == 1
-        assert requeues[0].reason == REASON_DEADLINE
-        assert supervisor.losses == {REASON_DEADLINE: 1}
-
-    def test_requeue_budget_bounds_a_hopeless_cell(self, machine, tmp_path):
-        app = AlwaysHangs()
-        cell = enumerate_cells(app, SMALL_GRID)[0]
-        supervisor = WorkerSupervisor(
-            1, machine, 0, None, cell_deadline=0.5, requeue_budget=1
-        )
-        with supervisor:
-            supervisor.submit(app, [cell], [1])
-            terminal, others = drain(supervisor, 1)
-        (event,) = terminal
-        assert isinstance(event, CellAborted)
-        assert event.category == CATEGORY_TRANSIENT
-        assert "deadline" in event.error
-        assert sum(1 for e in others if isinstance(e, CellRequeued)) == 1
-        assert supervisor.losses[REASON_DEADLINE] == 2
-
-    def test_timeout_kills_worker_and_fails_cell_in_band(self, machine):
-        """A timeout is not requeued: the worker is replaced and the
-        cell comes back as a transient failure for the sweep to retry."""
-        app = AlwaysHangs()
-        cell = enumerate_cells(app, SMALL_GRID)[0]
-        supervisor = WorkerSupervisor(
-            1, machine, 0, None, timeout_seconds=0.5, requeue_budget=2
-        )
-        with supervisor:
-            supervisor.submit(app, [cell], [1])
-            terminal, others = drain(supervisor, 1)
+            (event,) = drain(supervisor, 1)
+            assert victim not in supervisor.workers
             assert len(supervisor.workers) == 1
-        (event,) = terminal
-        assert isinstance(event, CellResult)
+            supervisor.submit(app, [cell], [2])
+            (retried,) = drain(supervisor, 1)
         assert event.row is None
         assert event.category == CATEGORY_TRANSIENT
-        assert "timeout" in event.error
-        assert event.metrics["counters"] == {"timeout": 1}
-        assert others == []
-        assert supervisor.losses == {REASON_TIMEOUT: 1}
+        assert event.error.startswith(f"{REASON_DEADLINE}:")
+        assert event.metrics["counters"] == {REASON_DEADLINE: 1}
+        assert retried.row is not None and retried.error is None
 
-    def test_killed_worker_is_replaced_and_cell_requeued(self, machine):
+    def test_killed_worker_is_replaced_and_cell_fails(self, machine):
         app = TinyApp()
         cells = enumerate_cells(app, SMALL_GRID)[:2]
         with WorkerSupervisor(1, machine, 0, None) as supervisor:
@@ -176,19 +129,23 @@ class TestWorkerSupervisor:
             # Murder the worker out-of-band mid-sweep.
             victim = next(iter(supervisor.workers.values()))
             victim.proc.kill()
-            terminal, others = drain(supervisor, len(cells))
-        assert all(isinstance(e, CellResult) for e in terminal)
-        assert all(e.row is not None for e in terminal)
-        assert any(isinstance(e, CellRequeued) for e in others)
-        assert supervisor.losses.get("worker_crash", 0) >= 1
+            events = drain(supervisor, len(cells))
+            assert victim.ident not in supervisor.workers
+            assert len(supervisor.workers) == 1
+        lost = [e for e in events if e.row is None]
+        assert lost
+        for event in lost:
+            assert event.category == CATEGORY_TRANSIENT
+            assert event.error.startswith(f"{REASON_CRASH}:")
+            assert event.metrics["counters"] == {REASON_CRASH: 1}
+        # The queued cell ran on the replacement worker.
+        assert any(e.row is not None for e in events)
 
     def test_validation(self, machine):
         with pytest.raises(ConfigError):
             WorkerSupervisor(0, machine, 0, None)
         with pytest.raises(ConfigError):
             WorkerSupervisor(1, machine, 0, None, cell_deadline=0)
-        with pytest.raises(ConfigError):
-            WorkerSupervisor(1, machine, 0, None, requeue_budget=-1)
 
 
 class TestCircuitBreaker:

@@ -152,7 +152,7 @@ class TestSweepMatchesSerial:
         [
             {"retries": -1},
             {"backoff_seconds": -0.1},
-            {"timeout_seconds": 0},
+            {"cell_deadline": 0},
             {"error_budget": 0},
         ],
     )
@@ -289,7 +289,9 @@ class TestFaultIsolation:
 
     def test_worker_crash_is_requeued_not_fatal(self, tmp_path):
         """A worker that dies mid-cell (no deadline set) is replaced and
-        its cells requeued; the sweep finishes with the serial rows."""
+        its cells go back on the sweep's queue as transient failures,
+        retried under ``retries``; the sweep finishes with the serial
+        rows."""
         app = CrashOnceApp()
         app.marker = str(tmp_path / "marker")
         (tmp_path / "marker").write_text("pre")
@@ -301,7 +303,9 @@ class TestFaultIsolation:
         )
         assert not sweep.failures
         assert sweep.metrics.count("worker_crash") >= 1
-        assert sweep.metrics.count("requeue") >= 1
+        assert sweep.metrics.count("retry") == sweep.metrics.count(
+            "worker_crash"
+        )
         assert sweep.rows(app.name) == serial.rows(app.name)
         assert sweep.experiment(app).grid == serial.experiment(app).grid
 
@@ -322,7 +326,7 @@ class TestFaultIsolation:
 
 
 #: One budget x one strategy: 4 baselines + 1 grid cell (5 cells) —
-#: for the timeout tests, where every cell costs wall-clock time.
+#: for the deadline tests, where every cell costs wall-clock time.
 FIVE_CELLS = ExperimentGrid(budgets=(32 * MIB,), strategies=("density",))
 
 #: A plan exercising every degradation class at once.
@@ -389,26 +393,17 @@ class TestFaultPlanSweeps:
             sweep.failures
         )
 
-    def test_hang_timeout_serial(self):
-        plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
-        sweep = run_sweep(
-            [TinyApp()], grid=FIVE_CELLS, jobs=1, seed=0, fault_plan=plan,
-            retries=0, timeout_seconds=0.05,
-        )
-        assert len(sweep.failures) == 5
-        assert all("timeout" in o.error for o in sweep.failures)
-        assert sweep.metrics.count("timeout") == 5
-        assert sweep.metrics.count("cell_hung") == 5
-
     def test_hang_timeout_parallel(self):
+        """Hung cells overrun ``cell_deadline``; their workers are
+        killed and, with no retries left, the cells fail honestly."""
         plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.25)
         sweep = run_sweep(
             [TinyApp()], grid=FIVE_CELLS, jobs=2, seed=0, fault_plan=plan,
-            retries=0, timeout_seconds=0.05,
+            retries=0, cell_deadline=0.05,
         )
         assert len(sweep.failures) == 5
-        assert all("timeout" in o.error for o in sweep.failures)
-        assert sweep.metrics.count("timeout") == 5
+        assert all("deadline" in o.error for o in sweep.failures)
+        assert sweep.metrics.count("deadline") == 5
 
     def test_error_budget_fail_fast_serial(self):
         sweep = run_sweep(
@@ -747,12 +742,15 @@ class TestSupervisedSweep:
             [tiny_app], grid=SMALL_GRID, jobs=2, seed=0, cell_deadline=60.0
         )
         assert not sweep.failures
-        assert sweep.metrics.count("deadline_kill") == 0
+        assert sweep.metrics.count("deadline") == 0
         result = sweep.experiment(tiny_app)
         assert result.grid == serial.grid
         assert result.baselines == serial.baselines
 
     def test_hung_worker_is_killed_and_cell_requeued(self, tmp_path):
+        """The hung worker is killed at the deadline and its cell goes
+        back on the sweep's queue, retried like any transient failure;
+        the rows match the serial run."""
         app = SleepySweepApp()
         app.sentinel = str(tmp_path / "sentinel")
         # Serial reference with the sentinel pre-created (no hang).
@@ -762,27 +760,22 @@ class TestSupervisedSweep:
 
         sweep = run_sweep(
             [app], grid=FIVE_CELLS, jobs=2, seed=0, cell_deadline=1.5,
-            requeue_budget=3,
+            retries=3,
         )
         assert not sweep.failures
-        assert sweep.metrics.count("deadline_kill") >= 1
-        assert sweep.metrics.count("requeue") >= 1
+        # Two workers can both find the sentinel missing and both hang.
+        assert sweep.metrics.count("deadline") >= 1
+        assert sweep.metrics.count("retry") == sweep.metrics.count(
+            "deadline"
+        )
         result = sweep.experiment(app)
         assert result.grid == serial.grid
         assert result.baselines == serial.baselines
 
-    def test_requeue_budget_exhaustion_is_an_honest_failure(self, tmp_path):
-        from tests.parallel.test_supervisor import AlwaysHangs
-
-        sweep = run_sweep(
-            [AlwaysHangs()], grid=FIVE_CELLS, jobs=2, seed=0,
-            cell_deadline=0.5, requeue_budget=0, retries=0,
-        )
-        assert len(sweep.failures) == 5
-        assert all("deadline" in o.error for o in sweep.failures)
-        assert sweep.metrics.count("deadline_kill") == 5
-
     def test_serial_cell_deadline_enforced_post_hoc(self):
+        """In-process nothing preempts a hung cell; the attempt runs
+        to the end and is then failed on the deadline, counted like a
+        worker's deadline kill."""
         plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
         sweep = run_sweep(
             [TinyApp()], grid=FIVE_CELLS, jobs=1, seed=0, fault_plan=plan,
@@ -790,13 +783,14 @@ class TestSupervisedSweep:
         )
         assert len(sweep.failures) == 5
         assert all("deadline" in o.error for o in sweep.failures)
-        assert sweep.metrics.count("deadline_exceeded") == 5
+        assert sweep.metrics.count("deadline") == 5
+        assert sweep.metrics.count("cell_hung") == 5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"cell_deadline": 0},
-            {"requeue_budget": -1},
+            {"cell_deadline": -1.0},
+            {"circuit_threshold": -1},
             {"circuit_threshold": 0},
             {"resume": True},
         ],
@@ -1000,10 +994,7 @@ class TestSharedPlaneSweep:
 
 class TestBatchSizing:
     def test_timeout_pins_batches_to_single_cells(self):
-        executor = SweepExecutor(
-            config=SweepConfig(jobs=4, timeout_seconds=1.0)
-        )
-        assert executor._batch_size(100, 4) == 1
+        """A per-attempt time limit keeps meaning "per cell"."""
         executor = SweepExecutor(
             config=SweepConfig(jobs=4, cell_deadline=1.0)
         )
@@ -1110,12 +1101,89 @@ class TestControlFlowSignals:
 
     def test_system_exit_in_a_worker_is_a_crashed_worker(self):
         """In a worker process SystemExit ends the worker: its cells
-        are requeued, then aborted — the parent sweep carries on."""
+        fail as transient worker crashes, are retried, then settle as
+        failures — the parent sweep carries on."""
         sweep = run_sweep(
-            [ExitingApp()], grid=FIVE_CELLS, jobs=2, seed=0,
-            requeue_budget=1,
+            [ExitingApp()], grid=FIVE_CELLS, jobs=2, seed=0, retries=1,
         )
         assert len(sweep.failures) == 5
         assert all("worker died" in o.error for o in sweep.failures)
-        assert sweep.metrics.count("requeue") == 5
+        assert sweep.metrics.count("retry") == 5
         assert sweep.metrics.count("worker_crash") == 10
+
+
+#: Retries granted in :class:`TestOneLossPath`; not the default, so an
+#: attempt count cannot match it by accident.
+LOSS_RETRIES = 2
+
+#: Every cell hangs on every attempt, past any deadline below.
+ALWAYS_HANGS = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
+
+
+class TestOneLossPath:
+    """Every way to lose a cell attempt — an in-band error, a deadline
+    overrun, a dead worker — spends the same ``retries`` budget and
+    settles the cell exactly once."""
+
+    @pytest.mark.parametrize(
+        ("app_type", "kwargs", "cause", "counter"),
+        [
+            pytest.param(
+                TinyApp,
+                dict(jobs=1, fault_plan=FaultPlan(seed=1, cell_kill_rate=1.0)),
+                "injected kill",
+                "cell_killed",
+                id="in-band",
+            ),
+            pytest.param(
+                TinyApp,
+                dict(jobs=1, fault_plan=ALWAYS_HANGS, cell_deadline=0.05),
+                "deadline",
+                "deadline",
+                id="deadline-jobs1",
+            ),
+            pytest.param(
+                TinyApp,
+                dict(jobs=2, fault_plan=ALWAYS_HANGS, cell_deadline=0.05),
+                "deadline",
+                "deadline",
+                id="deadline-jobs2",
+            ),
+            pytest.param(
+                ExitingApp, dict(jobs=2), "worker died", "worker_crash",
+                id="worker-death",
+            ),
+        ],
+    )
+    def test_attempted_retries_plus_one_times(
+        self, tmp_path, app_type, kwargs, cause, counter
+    ):
+        """A cell failing on every attempt runs ``retries + 1`` times,
+        then settles once as a transient failure naming its cause."""
+        from repro.errors import CATEGORY_TRANSIENT
+        from repro.parallel.journal import (
+            JOURNAL_FILENAME,
+            RECORD_OUTCOME,
+            decode_record,
+        )
+
+        sweep = run_sweep(
+            [app_type()], grid=FIVE_CELLS, seed=0, retries=LOSS_RETRIES,
+            journal_dir=tmp_path, **kwargs,
+        )
+        assert len(sweep.outcomes) == len(sweep.failures) == 5
+        for outcome in sweep.failures:
+            assert outcome.attempts == LOSS_RETRIES + 1
+            assert outcome.category == CATEGORY_TRANSIENT
+            assert cause in outcome.error
+            assert outcome.metrics.count(counter) == LOSS_RETRIES + 1
+        assert sweep.metrics.count("retry") == 5 * LOSS_RETRIES
+        assert sweep.metrics.count("error") == 5
+        # Settled exactly once: one journaled outcome per cell.
+        lines = (tmp_path / JOURNAL_FILENAME).read_text().splitlines()
+        settled = [
+            payload["key"]
+            for record_type, payload in map(decode_record, lines)
+            if record_type == RECORD_OUTCOME
+        ]
+        assert len(settled) == len(set(settled)) == 5

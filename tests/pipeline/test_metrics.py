@@ -88,3 +88,26 @@ class TestFormatStageMetrics:
     def test_quiet_without_bookkeeping(self):
         text = format_stage_metrics(StageMetrics())
         assert "counters:" not in text
+
+    @pytest.mark.parametrize(
+        "counter",
+        ["deadline", "worker_crash", "journal_replay", "circuit_open"],
+    )
+    def test_shows_worker_losses_and_recovery_counters(self, counter):
+        m = StageMetrics()
+        m.bump(counter, 2)
+        assert f"counters: {counter}=2" in format_stage_metrics(m)
+
+    def test_deadline_failures_are_visible(self, tiny_app):
+        """A sweep whose every cell fails on the deadline says so."""
+        from repro.faults.plan import FaultPlan
+        from repro.parallel.sweep import run_sweep
+        from tests.parallel.test_sweep import FIVE_CELLS
+
+        plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
+        sweep = run_sweep(
+            [tiny_app], grid=FIVE_CELLS, jobs=1, seed=0, fault_plan=plan,
+            retries=0, cell_deadline=0.05,
+        )
+        text = format_stage_metrics(sweep.metrics)
+        assert "error=5, deadline=5" in text

@@ -250,6 +250,36 @@ class TestFaultFlow:
         ) == 0
         assert "resilience sweep: phaseshift" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--timeout", "--requeue-budget"])
+    def test_sweep_clis_have_one_loss_budget(self, tmp_path, flag):
+        """Every lost cell attempt spends --retries: neither sweep CLI
+        takes a second time limit or a requeue budget."""
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(seed=0).save(plan_path)
+        for main, argv in (
+            (experiment_main, ["cgpop"]),
+            (faults_main, ["cgpop", "--plan", str(plan_path)]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "1"])
+            assert exc.value.code == 2
+
+    def test_faults_runs_supervised_with_a_deadline(self, tmp_path, capsys):
+        """The shared sweep flags reach every rung: workers with an
+        armed (never reached) deadline, one journal per rung."""
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(seed=4, mcdram_capacity_factor=0.5).save(plan_path)
+        journal = tmp_path / "journal"
+        assert faults_main(
+            ["cgpop", "--plan", str(plan_path), "--factors", "0,1",
+             "-j", "2", "--cell-deadline", "30", "--min-survival", "1.0",
+             "--journal-dir", str(journal)]
+        ) == 0
+        assert "worst-case cell survival: 100%" in capsys.readouterr().out
+        assert sorted(p.name for p in journal.iterdir()) == [
+            "rung-0", "rung-1"
+        ]
+
     def test_faults_rejects_bad_factors(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         FaultPlan(seed=0).save(plan_path)

@@ -52,8 +52,8 @@ class TestFailureTaxonomy:
         ("exc", "category"),
         [
             (errors.InjectedFaultError("x"), errors.CATEGORY_TRANSIENT),
-            (errors.WorkerCrashError("x"), errors.CATEGORY_TRANSIENT),
-            (errors.CellDeadlineError("x"), errors.CATEGORY_TRANSIENT),
+            (errors.PlaneError("x"), errors.CATEGORY_TRANSIENT),
+            (errors.TransientMigrationError("x"), errors.CATEGORY_TRANSIENT),
             (errors.OutOfMemoryError("x"), errors.CATEGORY_DETERMINISTIC),
             (errors.CircuitOpenError("x"), errors.CATEGORY_DETERMINISTIC),
             (errors.ConfigError("x"), errors.CATEGORY_POISONED),
