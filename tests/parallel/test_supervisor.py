@@ -50,6 +50,15 @@ class FailingApp(TinyApp):
         raise RuntimeError("deterministic model bug")
 
 
+class AlwaysHangs(TinyApp):
+    """Hangs on every attempt — no replacement worker can save it."""
+
+    name = "alwayshangs"
+
+    def run_profiling(self, seed=0, tracer_config=None):
+        time.sleep(60)
+
+
 def drain(supervisor, expected, deadline=30.0):
     """Poll until ``expected`` cell results arrived (or time out)."""
     events = []
@@ -95,13 +104,11 @@ class TestWorkerSupervisor:
         assert "deterministic model bug" in event.error
         assert event.category == CATEGORY_DETERMINISTIC
 
-    def test_timeout_kills_worker_and_fails_cell_in_band(
-        self, machine, tmp_path
-    ):
-        """An attempt overrunning ``cell_deadline`` is not retried by
-        the supervisor: the worker is killed and replaced, and the cell
-        comes back as a transient failure that names and counts the
-        deadline. The caller's retry recovers on the replacement."""
+    def test_deadline_kill_requeues_and_recovers(self, machine, tmp_path):
+        """The supervisor does not requeue an overrun attempt itself:
+        the worker is killed and replaced, the cell comes back as a
+        transient ``deadline`` failure, and the caller's resubmission
+        recovers on the replacement worker."""
         app = SleepyApp()
         app.sentinel = str(tmp_path / "sentinel")
         cell = enumerate_cells(app, SMALL_GRID)[0]
@@ -119,6 +126,50 @@ class TestWorkerSupervisor:
         assert event.error.startswith(f"{REASON_DEADLINE}:")
         assert event.metrics["counters"] == {REASON_DEADLINE: 1}
         assert retried.row is not None and retried.error is None
+
+    def test_requeue_budget_bounds_a_hopeless_cell(self, machine):
+        """A cell that overruns on every attempt costs exactly one
+        deadline-bounded attempt per submission: the caller's retry
+        budget (here one retry, so two submissions) is the only bound,
+        and nothing is left running or queued afterwards."""
+        app = AlwaysHangs()
+        cell = enumerate_cells(app, SMALL_GRID)[0]
+        retries = 1
+        supervisor = WorkerSupervisor(1, machine, 0, None, cell_deadline=0.5)
+        events = []
+        with supervisor:
+            for attempt in range(1, retries + 2):
+                supervisor.submit(app, [cell], [attempt])
+                started = time.monotonic()
+                events += drain(supervisor, 1)
+                assert time.monotonic() - started < 10.0
+            assert supervisor.poll(0.2) == []
+            assert all(w.batch is None for w in supervisor.workers.values())
+            assert len(supervisor.workers) == 1
+        assert len(events) == retries + 1
+        for event in events:
+            assert event.row is None
+            assert event.category == CATEGORY_TRANSIENT
+            assert event.error.startswith(f"{REASON_DEADLINE}:")
+            assert event.metrics["counters"] == {REASON_DEADLINE: 1}
+
+    def test_timeout_kills_worker_and_fails_cell_in_band(self, machine):
+        """A timed-out attempt is not requeued: the worker is replaced
+        and the cell comes back as a transient failure, naming and
+        counting the deadline, for the sweep to retry."""
+        app = AlwaysHangs()
+        cell = enumerate_cells(app, SMALL_GRID)[0]
+        supervisor = WorkerSupervisor(1, machine, 0, None, cell_deadline=0.5)
+        with supervisor:
+            (victim,) = supervisor.workers
+            supervisor.submit(app, [cell], [1])
+            (event,) = drain(supervisor, 1)
+            assert victim not in supervisor.workers
+            assert len(supervisor.workers) == 1
+        assert event.row is None
+        assert event.category == CATEGORY_TRANSIENT
+        assert event.error.startswith(f"{REASON_DEADLINE}:")
+        assert event.metrics["counters"] == {REASON_DEADLINE: 1}
 
     def test_killed_worker_is_replaced_and_cell_fails(self, machine):
         app = TinyApp()

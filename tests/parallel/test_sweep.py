@@ -393,6 +393,22 @@ class TestFaultPlanSweeps:
             sweep.failures
         )
 
+    def test_hang_timeout_serial(self):
+        """In-process, a cell failed post hoc on the deadline is a
+        transient failure like any other: it spends ``retries``, each
+        attempt hangs again, and the cell settles after the last."""
+        plan = FaultPlan(seed=1, cell_hang_rate=1.0, cell_hang_seconds=0.15)
+        sweep = run_sweep(
+            [TinyApp()], grid=FIVE_CELLS, jobs=1, seed=0, fault_plan=plan,
+            retries=1, cell_deadline=0.05,
+        )
+        assert len(sweep.failures) == 5
+        assert all("deadline" in o.error for o in sweep.failures)
+        assert all(o.attempts == 2 for o in sweep.failures)
+        assert sweep.metrics.count("retry") == 5
+        assert sweep.metrics.count("deadline") == 10
+        assert sweep.metrics.count("cell_hung") == 10
+
     def test_hang_timeout_parallel(self):
         """Hung cells overrun ``cell_deadline``; their workers are
         killed and, with no retries left, the cells fail honestly."""
@@ -771,6 +787,25 @@ class TestSupervisedSweep:
         result = sweep.experiment(app)
         assert result.grid == serial.grid
         assert result.baselines == serial.baselines
+
+    def test_requeue_budget_exhaustion_is_an_honest_failure(self):
+        """Cells that overrun the deadline on every attempt, with no
+        retries left, settle as transient failures naming the
+        deadline; their workers are killed, the sweep carries on."""
+        from repro.errors import CATEGORY_TRANSIENT
+        from tests.parallel.test_supervisor import AlwaysHangs
+
+        sweep = run_sweep(
+            [AlwaysHangs()], grid=FIVE_CELLS, jobs=2, seed=0,
+            cell_deadline=0.5, retries=0,
+        )
+        assert len(sweep.failures) == 5
+        for outcome in sweep.failures:
+            assert "deadline" in outcome.error
+            assert outcome.category == CATEGORY_TRANSIENT
+            assert outcome.attempts == 1
+        assert sweep.metrics.count("deadline") == 5
+        assert sweep.metrics.count("retry") == 0
 
     def test_serial_cell_deadline_enforced_post_hoc(self):
         """In-process nothing preempts a hung cell; the attempt runs
