@@ -1,12 +1,11 @@
-"""Kernel throughput: each vectorised cache kernel against its
-per-access oracle in :mod:`repro._oracles`.
+"""Kernel throughput: the vectorised direct-mapped cache kernel
+against the per-access LRU loop in :mod:`repro._oracles`.
 
 Both sides run the same fixed-seed hot/cold stream (the paper's own
 premise: 95% of accesses land in a 256 KiB hot region, the rest
-anywhere in 512 MiB) and must agree exactly. The set-associative LLC
-kernel must beat its loop by more than 2x; no cache kernel may lose to
-its loop outright. Equality itself is property-tested in
-``tests/cache/test_vectorkernels.py``; this file only watches speed.
+anywhere in 512 MiB) and must agree exactly; the kernel must not lose
+to its loop. Equality itself is property-tested in
+``tests/cache/test_directmap.py``; this file only watches speed.
 """
 
 from __future__ import annotations
@@ -16,18 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from repro._oracles import access_stream_reference, feed_reference
+from repro._oracles import SetAssociativeCache, access_stream_reference
 from repro.cache.directmap import DirectMappedCache
-from repro.cache.hierarchy import CacheHierarchy, CacheLevelSpec
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.vectorkernels import VectorSetAssociativeCache
 from repro.reporting.tables import AsciiTable
 from repro.units import KIB, MIB
 
-#: An 8 MiB 16-way LLC: large enough that the vectorised rounds run
+#: An 8 MiB cache: large enough that the sort-and-shift kernel runs
 #: thousands of sets wide.
 LLC_CAPACITY = 8 * MIB
-LLC_WAYS = 16
 
 
 def _hotcold(n: int, seed: int = 0) -> np.ndarray:
@@ -37,35 +32,14 @@ def _hotcold(n: int, seed: int = 0) -> np.ndarray:
     return np.where(rng.random(n) < 0.95, hot, cold).astype(np.uint64)
 
 
-def _hierarchy() -> CacheHierarchy:
-    return CacheHierarchy(
-        l1=CacheLevelSpec(capacity=32 * KIB, line_size=64, ways=8),
-        llc=CacheLevelSpec(capacity=512 * KIB, line_size=64, ways=16),
-    )
-
-
 #: stage -> (stream length, per-access oracle, vectorised kernel).
 STAGES = {
-    "cache_setassoc": (
-        200_000,
-        lambda a: access_stream_reference(
-            SetAssociativeCache(LLC_CAPACITY, 64, LLC_WAYS), a
-        ),
-        lambda a: VectorSetAssociativeCache(
-            LLC_CAPACITY, 64, LLC_WAYS
-        ).access_stream(a),
-    ),
     "cache_directmap": (
         200_000,
         lambda a: access_stream_reference(
             SetAssociativeCache(LLC_CAPACITY, 64, ways=1), a
         ),
         lambda a: DirectMappedCache(LLC_CAPACITY, 64).access_stream(a),
-    ),
-    "cache_hierarchy": (
-        20_000,
-        lambda a: feed_reference(_hierarchy(), a),
-        lambda a: _hierarchy().feed(a),
     ),
 }
 
@@ -104,6 +78,5 @@ def test_kernel_throughput(benchmark):
         stage: ref_seconds / vec_seconds
         for stage, (_, ref_seconds, vec_seconds) in timings.items()
     }
-    assert speedups["cache_setassoc"] > 2.0
     for stage, speedup in speedups.items():
         assert speedup > 1.0, stage

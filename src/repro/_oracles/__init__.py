@@ -1,13 +1,13 @@
 """Per-event reference implementations (test oracles).
 
-Each function here is the plain, one-event-at-a-time version of a
+Each name here is the plain, one-event-at-a-time version of a
 vectorised production path, kept only so property tests can prove
 the fast path equal to it.
 No production module imports this package.
 """
 
 from repro._oracles.attribution import attribute_samples
-from repro._oracles.cache import access_stream_reference, feed_reference
+from repro._oracles.cache import SetAssociativeCache, access_stream_reference
 from repro._oracles.scalar import (
     make_scoring_workload,
     predict_share_reference,
@@ -17,9 +17,9 @@ from repro._oracles.scalar import (
 from repro._oracles.stream import interleave_reference, window_stream_reference
 
 __all__ = [
+    "SetAssociativeCache",
     "access_stream_reference",
     "attribute_samples",
-    "feed_reference",
     "interleave_reference",
     "make_scoring_workload",
     "predict_share_reference",

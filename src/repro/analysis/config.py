@@ -49,17 +49,6 @@ class AnalysisConfig:
         if self.top_n is not None and self.top_n < 1:
             raise ConfigError("top_n must be at least 1")
 
-    # -- event predicates --------------------------------------------------
-
-    def admits_sample(self, time: float, rank: int) -> bool:
-        if self.time_window is not None:
-            t0, t1 = self.time_window
-            if not t0 <= time < t1:
-                return False
-        if self.ranks is not None and rank not in self.ranks:
-            return False
-        return True
-
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -1,31 +1,19 @@
 """Cache simulators.
 
-The framework's input signal is LLC (L2 on KNL) miss samples, so the
-reproduction includes an actual cache model rather than assuming miss
-counts: a reference set-associative LRU simulator
-(:class:`SetAssociativeCache`, the per-access correctness oracle), the
-vectorised LRU kernels (:class:`VectorSetAssociativeCache`,
-:func:`simulate_set_associative`) that reproduce it bit for bit at
-NumPy speed, a vectorised direct-mapped simulator
-(:func:`simulate_direct_mapped`) used both as an LLC fast path and as
-the MCDRAM cache-mode model, and a two-level hierarchy.
+The KNL "cache mode" organises MCDRAM as a direct-mapped memory-side
+cache, so the one cache model a workload runs is a vectorised
+direct-mapped simulator: :func:`simulate_direct_mapped` for a cold
+one-shot stream and :class:`DirectMappedCache` for chunked streams
+that keep warm state. It drives the cache-mode baseline
+(``machine/cachemode.py``) and STREAM (Fig. 1). The per-access LRU
+it is tested against lives in :mod:`repro._oracles.cache`.
 """
 
 from repro.cache.stats import CacheStats
-from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.directmap import DirectMappedCache, simulate_direct_mapped
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.vectorkernels import (
-    VectorSetAssociativeCache,
-    simulate_set_associative,
-)
 
 __all__ = [
     "CacheStats",
-    "SetAssociativeCache",
-    "VectorSetAssociativeCache",
     "DirectMappedCache",
     "simulate_direct_mapped",
-    "simulate_set_associative",
-    "CacheHierarchy",
 ]

@@ -52,8 +52,6 @@ uninterrupted run's.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -90,6 +88,7 @@ from repro.cluster.scheduler import SchedulerPolicy, get_scheduler
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.ioutil import content_hash
 from repro.machine.performance import (
     MIGRATION_BANDWIDTH_DEFAULT,
     ExecutionModel,
@@ -877,18 +876,15 @@ class ClusterSim:
         """Content hash pinning this run: its identity plus the
         generated arrival trace. A resume under any other key is
         refused."""
-        canonical = json.dumps(
+        return content_hash(
             {
                 "identity": self._identity(),
                 "trace": [
                     (r.job_id, r.app, r.arrival_time, r.hbw_demand)
                     for r in trace
                 ],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+            }
+        )[:32]
 
     # -- run -------------------------------------------------------------
 

@@ -168,11 +168,6 @@ class InjectedFaultError(ReproError):
     category = CATEGORY_TRANSIENT
 
 
-class CircuitOpenError(ReproError):
-    """An application's circuit breaker is open: its cells failed
-    deterministically often enough that further execution is refused."""
-
-
 class JournalError(ReproError):
     """A sweep journal is unreadable, inconsistent, or belongs to a
     different sweep than the one being resumed."""

@@ -1,4 +1,4 @@
-"""Small filesystem helpers shared by every artifact writer.
+"""Small filesystem and encoding helpers shared by every artifact writer.
 
 Stages 1-4 exchange artifacts through files (traces, CSVs, placement
 reports, cached rows, sweep journals). A crash mid-write must never
@@ -9,15 +9,32 @@ destination (atomic on POSIX within one filesystem), then fsync the
 containing directory so the rename itself survives a power loss —
 without the directory fsync the data would be durable but the *name*
 could still point at the old (or no) file after a crash.
+
+Every content identity (result-cache keys, sweep and session keys)
+is a hash, and every record checksum a CRC, over
+:func:`canonical_json`, so equal payloads always encode to equal
+bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
+
+
+def canonical_json(payload: dict) -> str:
+    """Compact JSON with sorted keys: one encoding per value."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def content_hash(payload: dict) -> str:
+    """SHA-256 hex digest over :func:`canonical_json` of ``payload``."""
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def fsync_dir(path: str | Path) -> None:

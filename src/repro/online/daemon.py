@@ -69,8 +69,6 @@ assert.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -94,6 +92,7 @@ from repro.faults.injector import (
     WINDOW_OK,
     FaultInjector,
 )
+from repro.ioutil import content_hash
 from repro.machine.performance import MIGRATION_BANDWIDTH_DEFAULT
 from repro.online.migration import (
     DEMOTE,
@@ -137,18 +136,15 @@ def session_key(
     profiled trace itself yields a different key, so a decision log
     can only ever resume the exact session that wrote it.
     """
-    canonical = json.dumps(
+    return content_hash(
         {
             "application": application,
             "budget_real": budget_real,
             "seed": seed,
             "config": config,
             "trace": trace_fingerprint,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+        }
+    )[:32]
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CheckpointError, JournalError
-from repro.ioutil import fsync_dir
+from repro.ioutil import canonical_json, fsync_dir
 
 #: Bump when the record layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
@@ -60,17 +60,13 @@ RECORD_OUTCOME = "outcome"
 RECORD_END = "end"
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def encode_record(record_type: str, payload: dict) -> str:
     """One journal line: type + payload + CRC-32 over both."""
-    body = _canonical(
+    body = canonical_json(
         {"v": JOURNAL_SCHEMA_VERSION, "type": record_type, "payload": payload}
     )
     crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
-    return _canonical(
+    return canonical_json(
         {
             "v": JOURNAL_SCHEMA_VERSION,
             "type": record_type,
@@ -93,7 +89,7 @@ def decode_record(line: str) -> tuple[str, dict] | None:
     payload = record.get("payload")
     if not isinstance(record_type, str) or not isinstance(payload, dict):
         return None
-    body = _canonical(
+    body = canonical_json(
         {
             "v": record.get("v", JOURNAL_SCHEMA_VERSION),
             "type": record_type,
@@ -242,7 +238,7 @@ class SweepJournal:
                 f"{path}: no intact manifest record; not a sweep journal "
                 "(or its head was destroyed)"
             )
-        if _canonical(replay.manifest) != _canonical(manifest):
+        if canonical_json(replay.manifest) != canonical_json(manifest):
             raise JournalError(
                 f"{path}: journal belongs to a different {owner} "
                 f"(journal manifest {replay.manifest!r}, this {owner} "

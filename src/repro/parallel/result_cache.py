@@ -13,16 +13,15 @@ misses cleanly instead of serving stale data.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.apps.base import SimApplication
 from repro.errors import ConfigError
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, content_hash
 from repro.machine.config import MachineConfig
+from repro.parallel.journal import decode_record, encode_record
 from repro.pipeline.experiment import GridCell
 from repro.pipeline.results import ResultRow
 
@@ -31,7 +30,10 @@ if TYPE_CHECKING:
 
 #: Bump when the cached payload layout or the scoring semantics of a
 #: row change incompatibly; invalidates every prior entry.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
+
+#: Record type of a cache entry in the journal's checksummed format.
+RECORD_ROW = "row"
 
 
 def app_fingerprint(app: SimApplication) -> dict:
@@ -60,12 +62,6 @@ def cell_fingerprint(cell: GridCell) -> dict:
         "budget_bytes": cell.budget_bytes,
         "advisor_budget_bytes": cell.advisor_budget_bytes,
     }
-
-
-def content_hash(payload: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of ``payload``."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def cell_cache_key(
@@ -99,12 +95,26 @@ def cell_cache_key(
     return content_hash(payload)
 
 
+def _decode_row(raw: str) -> ResultRow | None:
+    """The row a cache entry holds; None if the entry is damaged."""
+    record = decode_record(raw)
+    if record is None or record[0] != RECORD_ROW:
+        return None
+    try:
+        return ResultRow.from_dict(record[1]["row"])
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
 class ResultCache:
     """One-file-per-entry store under ``root`` (sharded by prefix).
 
-    Entries are tiny JSON documents; sharding into 256 prefix
-    directories keeps any single directory listing fast even for
-    sweeps with many thousands of cells.
+    Entries are one checksummed record each, in the sweep journal's
+    format (:func:`~repro.parallel.journal.encode_record`: canonical
+    JSON plus a CRC-32), so a bit-rotted row is detected rather than
+    served. Sharding into 256 prefix directories keeps any single
+    directory listing fast even for sweeps with many thousands of
+    cells.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -126,12 +136,13 @@ class ResultCache:
     def get(self, key: str) -> ResultRow | None:
         """The cached row for ``key``, or None.
 
-        A present-but-unparseable entry (truncated write from a killed
-        process, bit rot, foreign junk) is *quarantined*: renamed to
-        ``<key>.corrupt`` beside the live entries and reported as a
-        miss, so the cell re-executes and its fresh row can be stored
-        under the original name — one bad entry never wedges the cell
-        that owns it, and the evidence is preserved for inspection.
+        A present-but-damaged entry (truncated write from a killed
+        process, a CRC mismatch from bit rot, foreign junk) is
+        *quarantined*: renamed to ``<key>.corrupt`` beside the live
+        entries and reported as a miss, so the cell re-executes and
+        its fresh row can be stored under the original name — one bad
+        entry never wedges the cell that owns it, and the evidence is
+        preserved for inspection.
         """
         path = self._path(key)
         try:
@@ -140,10 +151,8 @@ class ResultCache:
             # Absent (or unreadable) is an ordinary miss.
             self.misses += 1
             return None
-        try:
-            data = json.loads(raw)
-            row = ResultRow.from_dict(data["row"])
-        except (ValueError, KeyError, TypeError):
+        row = _decode_row(raw)
+        if row is None:
             try:
                 path.replace(path.with_suffix(".corrupt"))
             except OSError:
@@ -160,11 +169,10 @@ class ResultCache:
         concurrent writer never leaves a half-written entry."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"schema": CACHE_SCHEMA_VERSION, "row": row.to_dict()},
-            indent=2,
+        payload = encode_record(
+            RECORD_ROW, {"schema": CACHE_SCHEMA_VERSION, "row": row.to_dict()}
         )
-        atomic_write_text(path, payload)
+        atomic_write_text(path, payload + "\n")
         self.stores += 1
 
     def __len__(self) -> int:

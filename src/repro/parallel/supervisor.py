@@ -35,6 +35,7 @@ is never read again).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from collections import deque
@@ -136,8 +137,8 @@ class WorkerSupervisor:
     ) -> None:
         if jobs < 1:
             raise ConfigError("supervisor needs at least one worker")
-        if cell_deadline is not None and cell_deadline <= 0:
-            raise ConfigError("cell_deadline must be positive")
+        if cell_deadline is not None and not 0 < cell_deadline < math.inf:
+            raise ConfigError("cell_deadline must be finite and positive")
         self.jobs = jobs
         self.machine = machine
         self.seed = seed

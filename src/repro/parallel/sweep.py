@@ -71,6 +71,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FATE_HANG, FATE_KILL, FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.ioutil import content_hash
 from repro.machine.config import MachineConfig, xeon_phi_7250
 from repro.parallel.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -80,7 +81,6 @@ from repro.parallel.result_cache import (
     ResultCache,
     app_fingerprint,
     cell_cache_key,
-    content_hash,
 )
 # ``wait`` is the call the parent blocks in while workers run; it is
 # bound here too so that tracing can wrap it by this module's name.
@@ -169,12 +169,13 @@ class SweepConfig:
             raise ConfigError("sweep needs at least one job")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-        if self.backoff_seconds < 0:
-            raise ConfigError("backoff_seconds must be >= 0")
+        if not 0 <= self.backoff_seconds < math.inf:
+            raise ConfigError("backoff_seconds must be finite and >= 0")
         if self.error_budget is not None and self.error_budget < 1:
             raise ConfigError("error_budget must be >= 1")
-        if self.cell_deadline is not None and self.cell_deadline <= 0:
-            raise ConfigError("cell_deadline must be positive")
+        deadline = self.cell_deadline
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ConfigError("cell_deadline must be finite and positive")
         if self.circuit_threshold is not None and self.circuit_threshold < 1:
             raise ConfigError("circuit_threshold must be >= 1")
         if self.resume and self.journal_dir is None:

@@ -1,12 +1,13 @@
-"""Vectorised direct-mapped simulator vs the reference model."""
+"""Vectorised direct-mapped simulator vs the per-access LRU oracle
+(a 1-way set-associative cache is a direct-mapped cache)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._oracles import SetAssociativeCache, access_stream_reference
 from repro.cache.directmap import DirectMappedCache, simulate_direct_mapped
-from repro.cache.setassoc import SetAssociativeCache
 from repro.errors import ConfigError
 
 CAPACITY = 64 * 64  # 64 lines
@@ -14,7 +15,7 @@ CAPACITY = 64 * 64  # 64 lines
 
 def _reference(addresses, capacity):
     ref = SetAssociativeCache(capacity, 64, ways=1)
-    return ref.access_stream(addresses)
+    return access_stream_reference(ref, addresses)
 
 
 class TestOneShot:
@@ -75,8 +76,9 @@ class TestStateful:
         cache = DirectMappedCache(CAPACITY)
         pieces = np.array_split(addrs, min(n_chunks, addrs.size))
         hits = np.concatenate([cache.access_stream(p) for p in pieces])
-        ref = _reference(addrs, CAPACITY)
-        assert hits.tolist() == ref.tolist()
+        ref = SetAssociativeCache(CAPACITY, 64, ways=1)
+        assert hits.tolist() == access_stream_reference(ref, addrs).tolist()
+        assert cache.stats == ref.stats
 
     def test_state_persists_between_chunks(self):
         cache = DirectMappedCache(CAPACITY)
@@ -103,6 +105,6 @@ class TestStateful:
         cache = DirectMappedCache(CAPACITY)
         cache.access_stream(addrs)
         ref = SetAssociativeCache(CAPACITY, 64, ways=1)
-        ref.access_stream(addrs)
+        access_stream_reference(ref, addrs)
         assert cache.stats.misses == ref.stats.misses
         assert cache.stats.evictions == ref.stats.evictions

@@ -1,9 +1,9 @@
-"""Set-associative LRU cache: the correctness reference."""
+"""Set-associative LRU cache: the per-access correctness oracle."""
 
 import numpy as np
 import pytest
 
-from repro.cache.setassoc import SetAssociativeCache
+from repro._oracles import SetAssociativeCache, access_stream_reference
 from repro.errors import ConfigError
 
 
@@ -85,7 +85,7 @@ class TestBehaviour:
     def test_stream_vector(self):
         c = SetAssociativeCache(4096, 64, 2)
         addrs = np.array([0, 0, 64, 0], dtype=np.uint64)
-        hits = c.access_stream(addrs)
+        hits = access_stream_reference(c, addrs)
         assert hits.tolist() == [False, True, False, True]
 
     def test_eviction_counting(self):
@@ -99,3 +99,16 @@ class TestBehaviour:
         for i in range(100):
             c.access(i * 64)
         assert c.resident_lines <= 8
+
+
+class TestReferenceStream:
+    def test_iterables_accepted(self):
+        """A one-shot generator is streamed once, not materialised twice."""
+        c = SetAssociativeCache(8 * 64, 64, 2)
+        hits = access_stream_reference(c, (a * 64 for a in [1, 1, 2]))
+        assert hits.tolist() == [False, True, False]
+
+    def test_non_1d_rejected(self):
+        c = SetAssociativeCache(8 * 64, 64, 2)
+        with pytest.raises(ValueError, match="1-D"):
+            access_stream_reference(c, np.zeros((2, 2), dtype=np.uint64))

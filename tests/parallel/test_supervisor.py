@@ -195,8 +195,11 @@ class TestWorkerSupervisor:
     def test_validation(self, machine):
         with pytest.raises(ConfigError):
             WorkerSupervisor(0, machine, 0, None)
-        with pytest.raises(ConfigError):
-            WorkerSupervisor(1, machine, 0, None, cell_deadline=0)
+        # NaN would disarm the deadline silently: every comparison
+        # with it is False.
+        for deadline in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                WorkerSupervisor(1, machine, 0, None, cell_deadline=deadline)
 
 
 class TestCircuitBreaker:

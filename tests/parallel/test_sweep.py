@@ -1,5 +1,7 @@
 """Parallel sweep executor: determinism, caching, fault isolation."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigError
@@ -154,6 +156,10 @@ class TestSweepMatchesSerial:
             {"backoff_seconds": -0.1},
             {"cell_deadline": 0},
             {"error_budget": 0},
+            {"backoff_seconds": float("nan")},
+            {"backoff_seconds": float("inf")},
+            {"cell_deadline": float("nan")},
+            {"cell_deadline": float("inf")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -550,6 +556,39 @@ class TestCacheQuarantine:
         assert len(cache) == 0
         cache.put(key, row)
         assert cache.get(key) == row
+
+    def test_bit_rotted_entry_quarantined(self, tmp_path):
+        """A flipped digit still parses as JSON; the CRC must catch it
+        instead of serving the wrong FOM as a hit."""
+        cache = ResultCache(tmp_path)
+        key = "cd" + "0" * 62
+        row = ResultRow(
+            application="x", label="density", budget_bytes=0,
+            fom=0.7978712, hwm_bytes=0, total_time=1.0,
+        )
+        cache.put(key, row)
+        path = cache._path(key)
+        text = path.read_text()
+        assert "0.7978712" in text
+        path.write_text(text.replace("0.7978712", "0.7078712"))
+        assert cache.get(key) is None
+        assert cache.quarantined == 1
+        assert path.with_suffix(".corrupt").exists()
+
+    def test_sweep_reexecutes_a_bit_rotted_row(self, tiny_app, tmp_path):
+        cold = run_sweep([tiny_app], grid=SMALL_GRID, cache_dir=tmp_path)
+        victim = next(tmp_path.glob("*/*.json"))
+        rotted, flips = re.subn(
+            r'("fom":\s*-?\d+\.)(\d)',
+            lambda m: m.group(1) + str((int(m.group(2)) + 1) % 10),
+            victim.read_text(),
+        )
+        assert flips == 1
+        victim.write_text(rotted)
+        warm = run_sweep([tiny_app], grid=SMALL_GRID, cache_dir=tmp_path)
+        assert warm.metrics.count("cache_hit") == 7
+        assert warm.metrics.count("cache_miss") == 1
+        assert warm.experiment(tiny_app).grid == cold.experiment(tiny_app).grid
 
     def test_missing_entry_is_not_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)

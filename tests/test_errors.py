@@ -55,7 +55,7 @@ class TestFailureTaxonomy:
             (errors.PlaneError("x"), errors.CATEGORY_TRANSIENT),
             (errors.TransientMigrationError("x"), errors.CATEGORY_TRANSIENT),
             (errors.OutOfMemoryError("x"), errors.CATEGORY_DETERMINISTIC),
-            (errors.CircuitOpenError("x"), errors.CATEGORY_DETERMINISTIC),
+            (errors.MigrationError("x"), errors.CATEGORY_DETERMINISTIC),
             (errors.ConfigError("x"), errors.CATEGORY_POISONED),
             (errors.FaultPlanError("x"), errors.CATEGORY_POISONED),
             (errors.JournalError("x"), errors.CATEGORY_POISONED),
